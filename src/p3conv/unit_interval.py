@@ -9,8 +9,9 @@ timed by walking the clique chain instead of enumerating start sets.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .graph import Graph, blocks, is_biconnected
 
@@ -71,135 +72,74 @@ def build_model(g: Graph, order: Sequence[int]) -> UnitIntervalModel:
     return UnitIntervalModel(g, order)
 
 
-def _is_clique(adjmap: dict[int, set[int]], vs: set[int]) -> bool:
-    vs = list(vs)
-    for i, u in enumerate(vs):
-        for w in vs[i + 1 :]:
-            if w not in adjmap[u]:
-                return False
-    return True
+def _lbfs(g: Graph, ranked: Sequence[int]) -> list[int]:
+    """A lexicographic breadth-first search order of g, by partition refinement.
 
-
-def _umbrella_ok(adjmap: dict[int, set[int]], order: list[int]) -> bool:
-    pos = {v: p for p, v in enumerate(order)}
-    for v in order:
-        if not adjmap[v]:
+    The unvisited vertices sit in a row of classes.  The next vertex visited
+    is the one of the first class that comes earliest in ``ranked``; visiting
+    it moves its unvisited neighbors out of each class into a new class just
+    before that class (Rose, Tarjan and Lueker 1976).  O(n + m) time.
+    """
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u in ranked:
+        for w in g.adj(u):
+            adj[w].append(u)
+    # Neighbor lists are in ranked order, so every class holds its vertices
+    # in ranked order; an entry goes stale once its vertex is visited or
+    # moved.  prev/nxt link the row of classes, starting at head.
+    members, prev, nxt = [deque(ranked)], [-1], [-1]
+    cls = [0] * g.n
+    head = 0
+    order: list[int] = []
+    while len(order) < g.n:
+        q = members[head]
+        while q and cls[q[0]] != head:
+            q.popleft()
+        if not q:
+            head = nxt[head]
+            prev[head] = -1
             continue
-        ps = [pos[w] for w in adjmap[v]]
-        lo = min(min(ps), pos[v])
-        hi = max(max(ps), pos[v])
-        if hi - lo != len(ps):
-            return False
-    return True
-
-
-def _search_from(adjmap: dict[int, set[int]], start: int, size: int) -> Optional[list[int]]:
-    order = [start]
-    placed = {start}
-    unplaced_degree = {start: len(adjmap[start])}
-    open_vertices = {start} if adjmap[start] else set()
-
-    def place(x: int) -> None:
-        remaining = 0
-        for u in adjmap[x]:
-            if u in placed:
-                unplaced_degree[u] -= 1
-                if unplaced_degree[u] == 0:
-                    open_vertices.discard(u)
-            else:
-                remaining += 1
-        placed.add(x)
-        unplaced_degree[x] = remaining
-        if remaining:
-            open_vertices.add(x)
-        order.append(x)
-
-    def unplace() -> None:
-        x = order.pop()
-        placed.discard(x)
-        open_vertices.discard(x)
-        del unplaced_degree[x]
-        for u in adjmap[x]:
-            if u in placed:
-                if unplaced_degree[u] == 0:
-                    open_vertices.add(u)
-                unplaced_degree[u] += 1
-
-    def candidates() -> list[int]:
-        # The next vertex must continue the chain from the last one placed,
-        # and every placed vertex that still has unplaced neighbors must be
-        # adjacent to it, otherwise that vertex's neighborhood gets a gap.
-        out = []
-        for x in sorted(adjmap[order[-1]]):
-            if x in placed:
+        v = q.popleft()
+        cls[v] = -1
+        order.append(v)
+        split: dict[int, int] = {}
+        for w in adj[v]:
+            c = cls[w]
+            if c < 0:
                 continue
-            if all(x in adjmap[u] for u in open_vertices if u != x):
-                out.append(x)
-        return out
-
-    stack = [iter(candidates())]
-    while stack:
-        x = next(stack[-1], None)
-        if x is None:
-            stack.pop()
-            if stack:
-                unplace()
-            continue
-        place(x)
-        if len(order) == size:
-            if _umbrella_ok(adjmap, order):
-                return list(order)
-            unplace()
-            continue
-        stack.append(iter(candidates()))
-    return None
-
-
-def _component_order(adjmap: dict[int, set[int]], comp: list[int]) -> Optional[list[int]]:
-    if len(comp) <= 2:
-        return list(comp)
-    for start in comp:
-        if not _is_clique(adjmap, adjmap[start]):
-            continue
-        found = _search_from(adjmap, start, len(comp))
-        if found is not None:
-            return found
-    return None
+            new = split.get(c)
+            if new is None:
+                new = split[c] = len(members)
+                members.append(deque())
+                prev.append(prev[c])
+                nxt.append(c)
+                if prev[c] < 0:
+                    head = new
+                else:
+                    nxt[prev[c]] = new
+                prev[c] = new
+            members[new].append(w)
+            cls[w] = new
+    return order
 
 
 def recognize_unit_interval(g: Graph) -> Optional[UnitIntervalModel]:
     """A valid model for g if one exists, else None.
 
-    Tries every simplicial vertex of each component as the leftmost position
-    and extends one position at a time; a candidate must be adjacent to the
-    previously placed vertex and to every placed vertex that still has
-    unplaced neighbors.  Complete orders are checked directly, so an order is
-    returned only if it genuinely has contiguous neighborhoods.  Components
-    are laid out one after another, lowest vertex first.
+    Corneil's 3-sweep LexBFS (Discrete Applied Mathematics 2004): one LexBFS,
+    then two more, each breaking ties toward the vertex the previous sweep
+    visited last.  The third order has contiguous closed neighborhoods
+    exactly when g is a unit interval graph.  The model constructor checks
+    that, so only a genuine model is ever returned.  The sweeps take O(n + m)
+    time.
     """
-    adjmap = {v: set(g.adj(v)) for v in range(g.n)}
-    seen: set[int] = set()
-    full_order: list[int] = []
-    for v in range(g.n):
-        if v in seen:
-            continue
-        comp = [v]
-        seen.add(v)
-        frontier = [v]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in adjmap[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        comp.append(w)
-                        nxt.append(w)
-            frontier = nxt
-        got = _component_order(adjmap, sorted(comp))
-        if got is None:
-            return None
-        full_order.extend(got)
-    return UnitIntervalModel(g, full_order)
+    order: Sequence[int] = range(g.n)
+    for _ in range(3):
+        order = _lbfs(g, order[::-1])
+    try:
+        return UnitIntervalModel(g, order)
+    except ValueError:
+        return None
 
 
 def _singulars(cliques: Sequence[tuple[int, int]]) -> list[int]:
@@ -278,17 +218,6 @@ class CutSegment:
     hi: int
     case_tag: str
     time: int
-
-
-def _range_model(model: UnitIntervalModel, lo: int, hi: int) -> UnitIntervalModel:
-    verts = [model.order[p] for p in range(lo, hi + 1)]
-    m = len(verts)
-    edges = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            if model.graph.has_edge(verts[i], verts[j]):
-                edges.append((i, j))
-    return UnitIntervalModel(Graph(m, edges), range(m))
 
 
 def _segment_adjacency(model: UnitIntervalModel, lo: int, hi: int) -> list[set[int]]:

@@ -12,12 +12,13 @@ import pytest
 from chainutil import chain_graph, glue, interval_systems, ladder, solid
 from p3conv.generators import (
     DEFAULT_SEED,
+    connected_graphs,
     random_biconnected_chain,
     random_clique_chain,
     random_unit_interval_graph,
     shuffle_labels,
 )
-from p3conv.graph import Graph, is_biconnected
+from p3conv.graph import Graph, contains_induced, is_biconnected
 from p3conv.oracle import percolation_time_bruteforce
 from p3conv.unit_interval import (
     build_model,
@@ -84,6 +85,91 @@ def test_recognize_survives_relabeling():
         assert m is not None
         # the returned order must itself be valid for the model builder
         build_model(g, m.order)
+
+
+CLAW = Graph.star(3)
+NET = Graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
+TENT = Graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (1, 4), (2, 4), (0, 5), (2, 5)])
+
+
+def is_chordal(g):
+    # Chordal graphs are exactly those that can be emptied by repeatedly
+    # deleting a vertex whose remaining neighbors form a clique.
+    alive = set(range(g.n))
+    while alive:
+        for v in alive:
+            nbrs = [w for w in g.adj(v) if w in alive]
+            if all(g.has_edge(a, b) for i, a in enumerate(nbrs) for b in nbrs[i + 1 :]):
+                alive.discard(v)
+                break
+        else:
+            return False
+    return True
+
+
+def is_uig_by_forbidden_subgraphs(g):
+    # Wegner 1967, Roberts 1969: a graph is a unit interval graph exactly
+    # when it is chordal and has no induced claw, net or tent.
+    return is_chordal(g) and not any(contains_induced(g, h) for h in (CLAW, NET, TENT))
+
+
+def test_recognize_matches_forbidden_subgraph_characterization():
+    counts = {}
+    for n in range(1, 7):
+        for g in connected_graphs(n):
+            expected = is_uig_by_forbidden_subgraphs(g)
+            assert (recognize_unit_interval(g) is not None) == expected, g
+            counts[n] = counts.get(n, 0) + expected
+    assert counts == {1: 1, 2: 1, 3: 2, 4: 4, 5: 10, 6: 26}
+    rng = random.Random(DEFAULT_SEED)
+    kinds = set()
+    for _ in range(1000):
+        n = rng.randint(1, 9)
+        p = rng.random()
+        g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+        expected = is_uig_by_forbidden_subgraphs(g)
+        assert (recognize_unit_interval(g) is not None) == expected, g
+        kinds.add((g.is_connected(), expected))
+    # connected and disconnected graphs, inside and outside the class
+    assert len(kinds) == 4
+
+
+def test_recognize_large_shuffled_chains():
+    rng = random.Random(DEFAULT_SEED)
+    for make in (random_clique_chain, random_biconnected_chain):
+        g = shuffle_labels(rng, make(rng, 10**4)[0])
+        m = recognize_unit_interval(g)
+        assert m is not None and m.graph == g
+
+
+def test_recognize_rejects_large_chain_with_claw():
+    # A pendant on a vertex whose leftmost and rightmost neighbors are not
+    # adjacent makes an induced claw, so no unit interval order exists.
+    rng = random.Random(DEFAULT_SEED)
+    n = 1000
+    g, order = random_biconnected_chain(rng, n - 1)
+    pos = {v: p for p, v in enumerate(order)}
+    v = next(
+        v for v in order
+        if not g.has_edge(min(g.adj(v), key=pos.get), max(g.adj(v), key=pos.get))
+    )
+    g = shuffle_labels(rng, Graph(n, [*g.edges(), (v, n - 1)]))
+    assert recognize_unit_interval(g) is None
+
+
+def test_recognized_order_gives_generator_percolation_time():
+    # The recognized order may be the generator's reversed, or permute twins,
+    # so this also runs cut_segments on an order other than the generator's.
+    rng = random.Random(DEFAULT_SEED)
+    makers = [random_unit_interval_graph, random_clique_chain, random_biconnected_chain]
+    other_orders = 0
+    for i in range(45):
+        g, order = makers[i % 3](rng, rng.randint(3, 12))
+        m = recognize_unit_interval(g)
+        assert m is not None
+        assert percolation_time(m) == percolation_time(build_model(g, order))
+        other_orders += m.order != order
+    assert other_orders > 0
 
 
 def test_singular_positions():
