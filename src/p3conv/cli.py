@@ -56,11 +56,9 @@ from .oracle import (
 from .unit_interval import (
     build_model,
     cut_segments,
-    diameter_endpoints,
-    percolation_time as unit_interval_percolation_time,
+    percolation_time_biconnected,
     recognize_unit_interval,
     singular_positions,
-    split_singular_vertices,
 )
 
 import random
@@ -187,18 +185,20 @@ def _cmd_analyze(args) -> int:
         payload["cliques"] = [[a, b] for a, b in model.cliques]
         payload["singular_positions"] = list(singular_positions(model))
         if g.is_connected():
+            time = 0
             if g.n >= 3:
+                segments = cut_segments(model)
                 payload["segments"] = [
-                    f"{s.lo}..{s.hi} {s.case_tag} t={s.time}" for s in cut_segments(model)
+                    f"{s.lo}..{s.hi} {s.case_tag} t={s.time}" for s in segments
                 ]
-            formula_values = {"percolation_time": unit_interval_percolation_time(model)}
+                time = max(s.time for s in segments)
+            formula_values = {"percolation_time": time}
             payload.update(formula_values)
             if is_biconnected(g):
-                payload["split_diameter"] = diameter_endpoints(split_singular_vertices(model))
+                payload["split_diameter"] = percolation_time_biconnected(model)
         else:
             payload["connected"] = False
     else:
-        payload["forbidden_patterns"] = list(find_forbidden_patterns(g))
         if not args.oracle:
             print(
                 "error: graph is neither a caterpillar nor a unit interval graph; "
@@ -206,6 +206,7 @@ def _cmd_analyze(args) -> int:
                 file=sys.stderr,
             )
             return 1
+        payload["forbidden_patterns"] = list(find_forbidden_patterns(g))
 
     exit_code = 0
     if args.oracle:

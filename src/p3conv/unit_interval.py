@@ -9,6 +9,7 @@ timed by walking the clique chain instead of enumerating start sets.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -156,28 +157,21 @@ def singular_positions(model: UnitIntervalModel) -> tuple[int, ...]:
 def split_singular_vertices(model: UnitIntervalModel) -> UnitIntervalModel:
     """Duplicate each singular position so that adjacent cliques overlap in two.
 
-    Works left to right, one singular position at a time: the clique ending at
-    the position keeps the new left copy, the clique starting there gets the
-    new right copy, and everything to the right shifts.  Only defined for
-    2-connected graphs on at least three vertices.
+    At each singular position the clique ending there keeps the left copy,
+    the clique starting there gets the new right copy, and everything to the
+    right shifts.  Splitting one singular position creates no new one, so all
+    of them are split in one pass: a clique start moves right by the number
+    of singular positions at or before it, a clique end by the number
+    strictly before it.  Only defined for 2-connected graphs on at least
+    three vertices.
     """
     if not is_biconnected(model.graph):
         raise ValueError("vertex splitting needs a 2-connected graph on 3+ vertices")
-    cliques = list(model.cliques)
-    n = model.graph.n
-    budget = len(_singulars(cliques))
-    while True:
-        sing = _singulars(cliques)
-        if not sing:
-            break
-        if budget == 0:
-            raise RuntimeError("vertex splitting failed to terminate")
-        budget -= 1
-        h = sing[0]
-        cliques = [
-            (a + 1 if a >= h else a, b + 1 if b > h else b) for a, b in cliques
-        ]
-        n += 1
+    sing = _singulars(model.cliques)
+    cliques = [
+        (a + bisect_right(sing, a), b + bisect_left(sing, b)) for a, b in model.cliques
+    ]
+    n = model.graph.n + len(sing)
     edges = set()
     for a, b in cliques:
         for i in range(a, b + 1):
@@ -252,7 +246,13 @@ def _segment_time(model: UnitIntervalModel, a: int, b: int, left: str, right: st
     neighbor is modeled as one extra already-infected helper (the helper is
     free for the worst case: delaying it only delays the boundary vertex
     itself, and that delay is charged to the neighboring segment).
+
+    When both ends are anchors and the graph has no cut vertex, the segment
+    is the whole 2-connected graph, and its time is the diameter of the
+    split graph (``percolation_time_biconnected``), with no search.
     """
+    if left == right == "anchor" and is_biconnected(model.graph):
+        return percolation_time_biconnected(model)
     adj = _segment_adjacency(model, a, b)
     m = len(adj)
     decomp = blocks(Graph(m, sorted((p, q) for p in range(m) for q in adj[p] if p < q)))
@@ -282,7 +282,9 @@ def _segment_time(model: UnitIntervalModel, a: int, b: int, left: str, right: st
         rounds (None = no injection).  Vertices may still fire earlier
         through in-block neighbors; the caller's consistency check rejects
         clamp values that disagree with such earlier firings.  The returned
-        map covers infected vertices only.
+        map covers infected vertices only.  The rounds stop at the fixpoint:
+        after a round that infected nothing, with no clamp injected in it
+        and none still to come.
         """
         key = (i, sigma, t_lo, t_hi)
         got = evolve_memo.get(key)
@@ -318,6 +320,9 @@ def _segment_time(model: UnitIntervalModel, a: int, b: int, left: str, right: st
             if t_hi == t and hi not in infected:
                 infected.add(hi)
                 times[hi] = t
+            # A clamp injected in round t can still spread in round t + 1.
+            if not fresh and (t_lo is None or t_lo < t) and (t_hi is None or t_hi < t):
+                break
         evolve_memo[key] = times
         return times
 
@@ -451,7 +456,10 @@ def cut_segments(model: UnitIntervalModel) -> tuple[CutSegment, ...]:
 
     A degree-2 vertex whose two neighbors are non-adjacent never spreads
     infection across itself before being infected, so no edge joins the two
-    sides and the worst start set works against one side at a time.
+    sides and the worst start set works against one side at a time.  A
+    2-connected graph is one ``two_anchors`` segment, timed by the split
+    diameter; every other segment is timed by the cut-time search of
+    ``_segment_time``.
     """
     g = model.graph
     n = g.n

@@ -1,11 +1,16 @@
 """Command line behavior, driven in-process through main()."""
 
 import json
+import random
+import re
 
 import pytest
 
+import p3conv.cli
+from p3conv import unit_interval
 from p3conv.cli import main
-from p3conv.graphio import parse_documents
+from p3conv.generators import random_clique_chain
+from p3conv.graphio import document_for, parse_documents, serialize_document
 
 
 def run(capsys, *argv):
@@ -83,6 +88,73 @@ def test_analyze_other_needs_oracle_flag(capsys, c4_file):
     rc, out, err = run(capsys, "analyze", c4_file)
     assert rc == 1
     assert "neither a caterpillar nor a unit interval graph" in err
+
+
+def test_analyze_uig_runs_one_segment_pass(capsys, tmp_path, monkeypatch):
+    g, order = random_clique_chain(random.Random(7), 12)
+    model = unit_interval.build_model(g, order)
+    f = tmp_path / "chain.txt"
+    f.write_text(serialize_document(document_for(g, order=order)))
+    original = unit_interval.cut_segments
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    # Count calls made directly and through unit_interval.percolation_time.
+    monkeypatch.setattr(p3conv.cli, "cut_segments", counted)
+    monkeypatch.setattr(unit_interval, "cut_segments", counted)
+    rc, out, _ = run(capsys, "analyze", str(f))
+    assert rc == 0
+    assert len(calls) == 1
+    lines = dict(line.split(": ", 1) for line in out.splitlines())
+    segment_times = [int(t) for t in re.findall(r"t=(\d+)", lines["segments"])]
+    assert len(segment_times) >= 2
+    assert int(lines["percolation_time"]) == max(segment_times)
+    assert int(lines["percolation_time"]) == unit_interval.percolation_time(model)
+
+
+def test_analyze_other_skips_pattern_search_without_oracle(capsys, c4_file, monkeypatch):
+    def forbidden(g):
+        raise AssertionError("pattern search ran without --oracle")
+
+    monkeypatch.setattr(p3conv.cli, "find_forbidden_patterns", forbidden)
+    rc, out, err = run(capsys, "analyze", c4_file)
+    assert rc == 1
+    assert out == ""
+    assert err == (
+        "error: graph is neither a caterpillar nor a unit interval graph; "
+        "rerun with --oracle for brute-force values\n"
+    )
+
+
+def test_analyze_other_with_oracle_names_patterns(capsys, tmp_path):
+    f = tmp_path / "k23.txt"
+    f.write_text("5\n0 2\n0 3\n0 4\n1 2\n1 3\n1 4\n")
+    rc, out, _ = run(capsys, "analyze", str(f), "--oracle")
+    assert rc == 0
+    assert "class: other" in out
+    assert "forbidden_patterns: k23\n" in out
+
+
+@pytest.mark.parametrize(
+    "text, tail",
+    [
+        ("0\n", "percolation_time: 0\n"),
+        ("1\n", "percolation_time: 0\n"),
+        ("2\n0 1\n", "percolation_time: 0\n"),
+        ("2\n0 1\norder: 1 0\n", "percolation_time: 0\n"),
+        ("4\n0 1\n2 3\norder: 0 1 2 3\n", "connected: no\n"),
+    ],
+)
+def test_analyze_tiny_and_disconnected_documents(capsys, tmp_path, text, tail):
+    f = tmp_path / "doc.txt"
+    f.write_text(text)
+    rc, out, _ = run(capsys, "analyze", str(f))
+    assert rc == 0
+    assert out.endswith(tail)
+    assert "segments" not in out
 
 
 def test_analyze_other_with_oracle(capsys, c4_file):

@@ -202,6 +202,28 @@ def test_split_on_overlapping_chain():
     assert percolation_time_bruteforce(split.graph) == percolation_time_bruteforce(g)
 
 
+def test_split_matches_one_position_at_a_time():
+    # Reference: split the leftmost singular position, shift, repeat.
+    def stepwise(cliques):
+        while True:
+            sing = sorted({a for a, _ in cliques} & {b for _, b in cliques})
+            if not sing:
+                return tuple(cliques)
+            h = sing[0]
+            cliques = [(a + (a >= h), b + (b > h)) for a, b in cliques]
+
+    rng = random.Random(DEFAULT_SEED)
+    most = 0
+    for _ in range(40):
+        g, order = random_biconnected_chain(rng, rng.randint(3, 60))
+        m = build_model(g, order)
+        split = split_singular_vertices(m)
+        assert split.cliques == stepwise(list(m.cliques))
+        assert singular_positions(split) == ()
+        most = max(most, len(singular_positions(m)))
+    assert most >= 5
+
+
 def test_biconnected_time_via_split_diameter():
     g = chain_graph(5, [(0, 2), (1, 3), (2, 4)])
     m = build_model(g, tuple(range(5)))
@@ -321,6 +343,29 @@ def test_exhaustive_layouts_up_to_eight_positions():
             m = build_model(g, tuple(range(n)))
             assert m.cliques == tuple(cliques)
             assert percolation_time(m) == percolation_time_bruteforce(g)
+
+
+def test_biconnected_layouts_on_nine_positions_match_oracle():
+    # 2-connected graphs are timed by the split diameter, not the search
+    checked = 0
+    for cliques in interval_systems(9):
+        g = chain_graph(9, cliques)
+        if not is_biconnected(g):
+            continue
+        m = build_model(g, tuple(range(9)))
+        assert percolation_time(m) == percolation_time_bruteforce(g)
+        checked += 1
+    assert checked == 429
+
+
+def test_large_shuffled_biconnected_chain_is_one_segment():
+    rng = random.Random(DEFAULT_SEED)
+    g = shuffle_labels(rng, random_biconnected_chain(rng, 500)[0])
+    m = recognize_unit_interval(g)
+    assert m is not None
+    (seg,) = cut_segments(m)
+    assert (seg.lo, seg.hi, seg.case_tag) == (0, 499, "two_anchors")
+    assert seg.time == percolation_time_biconnected(m)
 
 
 def test_tiny_graphs():
