@@ -11,6 +11,7 @@ the first round no matter how many further leaves it carries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .graph import Graph
@@ -39,6 +40,16 @@ class CaterpillarStructure:
             return hanging
         return hanging + 2
 
+    @cached_property
+    def factorization(self) -> "SpineFactorization":
+        """The degree profile's factors, computed once per structure."""
+        return decompose_degree_sequence(self.reduced_degrees)
+
+    @cached_property
+    def percolation(self) -> "PercolationSequence":
+        """The spine's worst-case infection rounds, computed once per structure."""
+        return percolation_sequence(self.reduced_degrees)
+
     def reversed(self) -> "CaterpillarStructure":
         """The same caterpillar walked from the other end of the spine."""
         return CaterpillarStructure(
@@ -51,23 +62,29 @@ class CaterpillarStructure:
 def recognize_caterpillar(g: Graph) -> Optional[CaterpillarStructure]:
     """Structure of g if it is a caterpillar tree, else None.
 
-    Graphs with fewer than two vertices are outside the domain and raise
-    ValueError rather than returning None.
+    A graph with n - 1 edges is a tree exactly when it is connected, which
+    the first of the two searches for a longest path checks.  Graphs with
+    fewer than two vertices are outside the domain and raise ValueError
+    rather than returning None.
     """
     if g.n < 2:
         raise ValueError("caterpillar recognition needs at least two vertices")
-    if g.edge_count != g.n - 1 or not g.is_connected():
+    if g.edge_count != g.n - 1:
         return None
+    nbrs = [sorted(g.adj(v)) for v in range(g.n)]
 
-    def farthest(src: int) -> tuple[int, dict[int, int]]:
-        parent = {src: src}
+    def farthest(src: int) -> tuple[int, list[int]]:
+        # Breadth-first over ascending neighbor lists: the last vertex found
+        # and each vertex's parent (-1 if unreached).
+        parent = [-1] * g.n
+        parent[src] = src
         frontier = [src]
         last = src
         while frontier:
             nxt = []
             for u in frontier:
-                for w in g.neighbors(u):
-                    if w not in parent:
+                for w in nbrs[u]:
+                    if parent[w] < 0:
                         parent[w] = u
                         nxt.append(w)
             if nxt:
@@ -75,7 +92,9 @@ def recognize_caterpillar(g: Graph) -> Optional[CaterpillarStructure]:
             frontier = nxt
         return last, parent
 
-    end_a, _ = farthest(0)
+    end_a, parent = farthest(0)
+    if -1 in parent:
+        return None
     end_b, parent = farthest(end_a)
     path = [end_b]
     while path[-1] != end_a:
@@ -86,18 +105,13 @@ def recognize_caterpillar(g: Graph) -> Optional[CaterpillarStructure]:
     for v in range(g.n):
         if v in on_spine:
             continue
-        if g.degree(v) != 1:
-            return None
-        (anchor,) = g.adj(v)
-        if anchor not in on_spine:
+        if len(nbrs[v]) != 1 or nbrs[v][0] not in on_spine:
             return None
 
     return CaterpillarStructure(
         spine=spine,
-        reduced_degrees=tuple(min(g.degree(v), 4) for v in spine),
-        leaves=tuple(
-            tuple(sorted(w for w in g.adj(v) if w not in on_spine)) for v in spine
-        ),
+        reduced_degrees=tuple(min(len(nbrs[v]), 4) for v in spine),
+        leaves=tuple(tuple(w for w in nbrs[v] if w not in on_spine) for v in spine),
     )
 
 
@@ -283,8 +297,7 @@ def geodetic_number(structure: CaterpillarStructure) -> int:
     """Minimum size of a set covering the tree in a single infection round."""
     if len(structure.spine) == 1:
         return 1
-    split = decompose_degree_sequence(structure.reduced_degrees)
-    return split.count + structure.leaf_count - 2
+    return structure.factorization.count + structure.leaf_count - 2
 
 
 def _paired_twos(values: Sequence[int]) -> int:
@@ -316,4 +329,4 @@ def percolation_time(structure: CaterpillarStructure) -> int:
     """Largest number of rounds a percolating set can take to cover the tree."""
     if len(structure.spine) == 1:
         return 0
-    return percolation_sequence(structure.reduced_degrees).worst_time
+    return structure.percolation.worst_time

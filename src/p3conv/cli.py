@@ -8,15 +8,14 @@ requested computation exceeds a size cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
 
 from .caterpillar import (
-    decompose_degree_sequence,
     geodetic_number,
     hull_number,
-    percolation_sequence,
     percolation_time as caterpillar_percolation_time,
     recognize_caterpillar,
 )
@@ -56,7 +55,6 @@ from .oracle import (
 from .unit_interval import (
     build_model,
     cut_segments,
-    percolation_time_biconnected,
     recognize_unit_interval,
     singular_positions,
 )
@@ -72,6 +70,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     p = _Parser(
         prog="p3conv",
@@ -167,13 +166,11 @@ def _cmd_analyze(args) -> int:
 
     formula_values: dict = {}
     if cls == "caterpillar":
-        rds = struct.reduced_degrees
-        seq = percolation_sequence(rds)
         payload["spine"] = list(struct.spine)
-        payload["degree_profile"] = list(rds)
+        payload["degree_profile"] = list(struct.reduced_degrees)
         payload["leaf_count"] = struct.leaf_count
-        payload["factors"] = ["".join(str(d) for d in f) for f in decompose_degree_sequence(rds).factors]
-        payload["spine_times"] = list(seq.times)
+        payload["factors"] = ["".join(str(d) for d in f) for f in struct.factorization.factors]
+        payload["spine_times"] = list(struct.percolation.times)
         formula_values = {
             "geodetic_number": geodetic_number(struct),
             "hull_number": hull_number(struct),
@@ -195,7 +192,9 @@ def _cmd_analyze(args) -> int:
             formula_values = {"percolation_time": time}
             payload.update(formula_values)
             if is_biconnected(g):
-                payload["split_diameter"] = percolation_time_biconnected(model)
+                # A 2-connected graph is one two_anchors segment, timed by
+                # the split diameter.
+                payload["split_diameter"] = time
         else:
             payload["connected"] = False
     else:

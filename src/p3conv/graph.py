@@ -111,43 +111,6 @@ class Graph:
                     queue.append(w)
         return len(seen) == self.n
 
-    def distance(self, u: int, v: int) -> Optional[int]:
-        """Hop count of a shortest path, or None if v is unreachable from u."""
-        self._check(u)
-        self._check(v)
-        if u == v:
-            return 0
-        dist = {u: 0}
-        queue = deque([u])
-        while queue:
-            x = queue.popleft()
-            for w in self._adj[x]:
-                if w not in dist:
-                    dist[w] = dist[x] + 1
-                    if w == v:
-                        return dist[w]
-                    queue.append(w)
-        return None
-
-    def diameter(self) -> int:
-        """Largest pairwise distance. Raises ValueError on a disconnected graph."""
-        if self.n == 0:
-            raise ValueError("diameter of the empty graph is undefined")
-        best = 0
-        for s in range(self.n):
-            dist = {s: 0}
-            queue = deque([s])
-            while queue:
-                x = queue.popleft()
-                for w in self._adj[x]:
-                    if w not in dist:
-                        dist[w] = dist[x] + 1
-                        queue.append(w)
-            if len(dist) != self.n:
-                raise ValueError("diameter is undefined for a disconnected graph")
-            best = max(best, max(dist.values()))
-        return best
-
     def induced_subgraph(self, vertices: Iterable[int]) -> "Graph":
         """Subgraph induced by the given vertices, reindexed in ascending order."""
         vs = sorted(set(vertices))

@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .graph import Graph, blocks, is_biconnected
@@ -240,6 +241,25 @@ def _segment_time(model: UnitIntervalModel, a: int, b: int, left: str, right: st
     that satisfy that firing equation, so every surviving schedule is
     realizable and the realized worst case survives.
 
+    A search state at a cut is its candidate time u, whether it is seeded,
+    and its profile: the times of its left neighbors with the cut itself
+    unclamped.  Four reductions keep the answer exact:
+
+    - Two-value profiles.  The firing equation reads only the second
+      smallest time among the profile and the right neighbors, which is
+      also the second smallest among the two smallest of each side.
+    - Bounded clamps.  That second smallest time is at least 0 and at most
+      the profile's second entry, so an unseeded cut passes the check only
+      with 1 <= u <= profile[1] + 1, and a seeded one has u = 0.  No other
+      u is enumerated.
+    - Grouped states.  A state's profile decides only whether it passes the
+      check; the next block's run, the next profile and the next cut time
+      depend on (u, seeded) and the next block's choices alone.  So states
+      are grouped by (u, seeded), the right neighbors' two smallest times
+      are computed once per (seeds, next cut time), and a group contributes
+      the largest value among its passing profiles.
+    - Event-driven rounds, in ``evolve``.
+
     Boundary kinds: ``anchor`` is a plain end of the whole vertex order,
     ``pendant`` is a degree-1 end whose vertex belongs to every spanning
     start set, and ``cut`` is a shared degree-2 cut vertex whose outside
@@ -262,168 +282,172 @@ def _segment_time(model: UnitIntervalModel, a: int, b: int, left: str, right: st
             raise RuntimeError("blocks of a unit interval order must be contiguous")
     bounds = [0, *sorted(decomp.cut_vertices), m - 1]
     nblocks = len(bounds) - 1
-    left_helper = left == "cut"
-    right_helper = right == "cut"
-    forced = set()
-    if left == "pendant":
-        forced.add(0)
-    if right == "pendant":
-        forced.add(m - 1)
+    forced = {p for p, kind in ((0, left), (m - 1, right)) if kind == "pendant"}
     tmax = m + 4
-
-    evolve_memo: dict[tuple, dict[int, int]] = {}
+    # Vertex sets are bitmasks over the segment's positions.  Per block,
+    # nbrs maps a vertex's bit to the mask of its in-block neighbors, need to
+    # the number of them that must be infected for it to fire (one at a cut
+    # end, which has the helper), and seeds lists the seed choices: at most
+    # two vertices, each block but the first leaving its left cut to the
+    # block before, and the pendant ends always included.
+    nbrs, need, seeds = [], [], []
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        nbrs.append(
+            {1 << p: sum(1 << q for q in adj[p] if lo <= q <= hi) for p in range(lo, hi + 1)}
+        )
+        need.append(dict.fromkeys(nbrs[i], 2))
+        pool = range(lo if i == 0 else lo + 1, hi + 1)
+        musts = [p for p in pool if p in forced]
+        rest = [1 << p for p in pool if p not in forced]
+        base = sum(1 << p for p in musts[:2])
+        if len(musts) >= 2:
+            seeds.append([base])
+        elif musts:
+            seeds.append([base, *(base | x for x in rest)])
+        else:
+            seeds.append([0, *rest, *(x | y for x, y in combinations(rest, 2))])
+    if left == "cut":
+        need[0][1] = 1
+    if right == "cut":
+        need[-1][1 << m - 1] = 1
+    memo: dict[tuple, tuple[bool, int, dict[int, int]]] = {}
 
     def evolve(
-        i: int, sigma: frozenset[int], t_lo: Optional[int], t_hi: Optional[int]
-    ) -> dict[int, int]:
+        i: int, sigma: int, t_lo: Optional[int], t_hi: Optional[int]
+    ) -> tuple[bool, int, dict[int, int]]:
         """Infection times inside block i with its ends clamped as given.
 
         ``t_lo``/``t_hi`` inject the block's boundary cut vertices at fixed
         rounds (None = no injection).  Vertices may still fire earlier
         through in-block neighbors; the caller's consistency check rejects
-        clamp values that disagree with such earlier firings.  The returned
-        map covers infected vertices only.  The rounds stop at the fixpoint:
-        after a round that infected nothing, with no clamp injected in it
-        and none still to come.
+        clamp values that disagree with such earlier firings.  Returns
+        whether the whole block got infected, the last round that infected
+        a vertex, and the round of each infected vertex, keyed by its bit.
+
+        The rounds are event-driven.  A vertex's infected-neighbor count
+        changes only when a neighbor is infected, so a round recounts only
+        the uninfected neighbors of the vertices infected in the round
+        before.  After a round that infects nothing, every round up to the
+        next pending clamp is idle too and is skipped; with no clamp
+        pending the process is at its fixpoint and stops.  No vertex fires
+        after round ``tmax``.
         """
         key = (i, sigma, t_lo, t_hi)
-        got = evolve_memo.get(key)
+        got = memo.get(key)
         if got is not None:
             return got
-        lo, hi = bounds[i], bounds[i + 1]
-        infected = set(sigma)
-        times = {p: 0 for p in sigma}
-        if t_lo == 0 and lo not in infected:
-            infected.add(lo)
-            times[lo] = 0
-        if t_hi == 0 and hi not in infected:
-            infected.add(hi)
-            times[hi] = 0
-        for t in range(1, tmax + 1):
-            fresh = []
-            for p in range(lo, hi + 1):
-                if p in infected:
-                    continue
-                cnt = sum(1 for q in adj[p] if lo <= q <= hi and q in infected)
-                if p == 0 and left_helper:
-                    cnt += 1
-                if p == m - 1 and right_helper:
-                    cnt += 1
-                if cnt >= 2:
-                    fresh.append(p)
-            for p in fresh:
-                infected.add(p)
-                times[p] = t
-            if t_lo == t and lo not in infected:
-                infected.add(lo)
-                times[lo] = t
-            if t_hi == t and hi not in infected:
-                infected.add(hi)
-                times[hi] = t
-            # A clamp injected in round t can still spread in round t + 1.
-            if not fresh and (t_lo is None or t_lo < t) and (t_hi is None or t_hi < t):
+        nbr, req = nbrs[i], need[i]
+        lo, hi = 1 << bounds[i], 1 << bounds[i + 1]
+        infected, new, times = 0, sigma, {}
+        t = last = 0
+        while True:
+            if t_lo == t:
+                new |= lo
+            if t_hi == t:
+                new |= hi
+            new &= ~infected
+            infected |= new
+            reached = 0
+            while new:
+                low = new & -new
+                new ^= low
+                times[low] = last = t
+                reached |= nbr[low]
+            if t == tmax:
                 break
-        evolve_memo[key] = times
-        return times
-
-    def seed_choices(i: int) -> list[frozenset[int]]:
-        lo, hi = bounds[i], bounds[i + 1]
-        pool = [p for p in range(lo, hi + 1) if i == 0 or p != lo]
-        musts = sorted(p for p in forced if lo <= p <= hi and (i == 0 or p != lo))
-        if len(musts) >= 2:
-            return [frozenset(musts[:2])]
-        rest = [p for p in pool if p not in musts]
-        out = [frozenset(musts)]
-        for k, x in enumerate(rest):
-            out.append(frozenset([*musts, x]))
-            if not musts:
-                out.extend(frozenset([x, y]) for y in rest[k + 1 :])
-        return out
-
-    def fire(entries: list[int]) -> Optional[int]:
-        if len(entries) < 2:
-            return None
-        ranked = sorted(entries)
-        return ranked[1] + 1
-
-    def block_size(i: int) -> int:
-        return bounds[i + 1] - bounds[i] + 1
+            rest = reached & ~infected
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if (nbr[low] & infected).bit_count() >= req[low]:
+                    new |= low
+            if new:
+                t += 1
+            else:
+                pending = [
+                    c for c, bit in ((t_lo, lo), (t_hi, hi))
+                    if c is not None and c > t and not infected & bit
+                ]
+                if not pending:
+                    break
+                t = min(pending)
+        got = memo[key] = (len(times) == len(nbr), last, times)
+        return got
 
     if nblocks == 1:
-        best: Optional[int] = None
-        for sigma in seed_choices(0):
-            times = evolve(0, sigma, None, None)
-            if len(times) < m:
-                continue
-            done = max(times.values())
-            if best is None or done > best:
-                best = done
-        if best is None:
+        runs = [evolve(0, sigma, None, None) for sigma in seeds[0]]
+        best = max((last for full, last, _ in runs if full), default=-1)
+        if best < 0:
             raise RuntimeError("no spreading schedule covers the segment")
         return best
 
-    left_nbrs = []
-    right_nbrs = []
-    for j in range(nblocks - 1):
-        c = bounds[j + 1]
-        left_nbrs.append([q for q in sorted(adj[c]) if bounds[j] <= q < c])
-        right_nbrs.append([q for q in sorted(adj[c]) if c < q <= bounds[j + 2]])
+    def low2(times: dict[int, int], mask: int) -> tuple[int, ...]:
+        return tuple(sorted(t for bit, t in times.items() if bit & mask)[:2])
 
-    # State after choosing block j's seeds and cut j's time: the profile is
-    # the firing times of the cut's left-side neighbors when the cut itself
-    # is left unclamped, which is all the later blocks can ever observe.
-    states: dict[tuple, int] = {}
-    for sigma in seed_choices(0):
-        seeded = bounds[1] in sigma
-        profile = ()
-        if not seeded:
-            free = evolve(0, sigma, None, None)
-            profile = tuple(free[q] for q in left_nbrs[0] if q in free)
-        for u0 in [0] if seeded else range(tmax + 1):
-            done = evolve(0, sigma, None, u0)
-            if len(done) < block_size(0):
-                continue
-            key = (profile, u0, seeded)
-            val = max(done.values())
-            if states.get(key, -1) < val:
-                states[key] = val
+    def cut_times(seeded: int, profile: tuple[int, ...]) -> Sequence[int]:
+        if seeded:
+            return (0,)
+        return range(1, min(tmax, profile[1] + 1) + 1 if len(profile) == 2 else tmax + 1)
 
-    answer: Optional[int] = None
+    # states[u, seeded][profile]: the largest completion time so far over
+    # schedules whose current cut fires at u with that profile.
+    states: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
+    for sigma in seeds[0]:
+        seeded = sigma >> bounds[1] & 1
+        profile = () if seeded else low2(evolve(0, sigma, None, None)[2], nbrs[0][1 << bounds[1]])
+        for u0 in cut_times(seeded, profile):
+            full, last, _ = evolve(0, sigma, None, u0)
+            if full:
+                group = states.setdefault((u0, seeded), {})
+                group[profile] = max(group.get(profile, -1), last)
+
+    answer = -1
     for j in range(nblocks - 1):
-        last = j == nblocks - 2
-        nxt: dict[tuple, int] = {}
-        for (profile, u, seeded), val in states.items():
-            for sigma in seed_choices(j + 1):
-                for u2 in [None] if last else list(range(tmax + 1)):
-                    if not seeded:
-                        around = evolve(j + 1, sigma, None, u2)
-                        entries = list(profile) + [
-                            around[q] for q in right_nbrs[j] if q in around
-                        ]
-                        if fire(entries) != u:
-                            continue
-                    done = evolve(j + 1, sigma, u, u2)
-                    if len(done) < block_size(j + 1):
-                        continue
-                    val2 = max(val, max(done.values()))
-                    if last:
-                        if answer is None or val2 > answer:
-                            answer = val2
-                        continue
-                    seeded2 = bounds[j + 2] in sigma
-                    if seeded2 and u2 != 0:
-                        continue
-                    profile2 = ()
+        final = j == nblocks - 2
+        nxt: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
+        # Per transition, not per state: the right neighbors' two smallest
+        # times per (seeds, next cut time), and per (u, those times) the
+        # best value among the passing profiles of group (u, unseeded).
+        right_pairs: dict[tuple[int, Optional[int]], tuple[int, ...]] = {}
+        passing: dict[tuple[int, tuple[int, ...]], int] = {}
+        for (u, seeded), group in states.items():
+            for sigma in seeds[j + 1]:
+                seeded2, profile2, u2s = 0, (), (None,)
+                if not final:
+                    seeded2 = sigma >> bounds[j + 2] & 1
                     if not seeded2:
-                        free = evolve(j + 1, sigma, u, None)
-                        profile2 = tuple(
-                            free[q] for q in left_nbrs[j + 1] if q in free
+                        profile2 = low2(
+                            evolve(j + 1, sigma, u, None)[2], nbrs[j + 1][1 << bounds[j + 2]]
                         )
-                    key = (profile2, u2, seeded2)
-                    if nxt.get(key, -1) < val2:
-                        nxt[key] = val2
+                    u2s = cut_times(seeded2, profile2)
+                for u2 in u2s:
+                    if seeded:
+                        val = group[()]
+                    else:
+                        pair = right_pairs.get((sigma, u2))
+                        if pair is None:
+                            pair = right_pairs[sigma, u2] = low2(
+                                evolve(j + 1, sigma, None, u2)[2], nbrs[j + 1][1 << bounds[j + 1]]
+                            )
+                        val = passing.get((u, pair))
+                        if val is None:
+                            val = passing[u, pair] = max(
+                                (v for p, v in group.items()
+                                 if len(p) + len(pair) >= 2 and sorted(p + pair)[1] + 1 == u),
+                                default=-1,
+                            )
+                        if val < 0:
+                            continue
+                    full, last, _ = evolve(j + 1, sigma, u, u2)
+                    if not full:
+                        continue
+                    if final:
+                        answer = max(answer, val, last)
+                    else:
+                        group2 = nxt.setdefault((u2, seeded2), {})
+                        group2[profile2] = max(group2.get(profile2, -1), val, last)
         states = nxt
-    if answer is None:
+    if answer < 0:
         raise RuntimeError("no spreading schedule covers the segment")
     return answer
 

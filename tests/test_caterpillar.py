@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +12,12 @@ from p3conv.caterpillar import (
     percolation_time,
     recognize_caterpillar,
 )
-from p3conv.generators import realize_caterpillar
+from p3conv.generators import (
+    random_caterpillar,
+    random_tree,
+    realize_caterpillar,
+    shuffle_labels,
+)
 from p3conv.graph import Graph
 from p3conv.oracle import (
     geodetic_number_bruteforce,
@@ -160,3 +167,64 @@ def test_parameters_ignore_orientation(profile):
     assert geodetic_number(a) == geodetic_number(b)
     assert hull_number(a) == hull_number(b)
     assert percolation_time(a) == percolation_time(b)
+
+
+def two_search_recognizer(g):
+    # Reference: a separate connectivity search, then two farthest-vertex
+    # searches over sorted neighbor tuples.
+    if g.edge_count != g.n - 1 or not g.is_connected():
+        return None
+
+    def farthest(src):
+        parent = {src: src}
+        frontier = [src]
+        last = src
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for w in g.neighbors(u):
+                    if w not in parent:
+                        parent[w] = u
+                        nxt.append(w)
+            if nxt:
+                last = nxt[-1]
+            frontier = nxt
+        return last, parent
+
+    end_a, _ = farthest(0)
+    end_b, parent = farthest(end_a)
+    path = [end_b]
+    while path[-1] != end_a:
+        path.append(parent[path[-1]])
+    on_spine = set(path)
+    for v in range(g.n):
+        if v not in on_spine and (g.degree(v) != 1 or not g.adj(v) <= on_spine):
+            return None
+    return (
+        tuple(path),
+        tuple(min(g.degree(v), 4) for v in path),
+        tuple(tuple(sorted(w for w in g.adj(v) if w not in on_spine)) for v in path),
+    )
+
+
+def test_recognizer_matches_two_search_reference():
+    rng = random.Random(11)
+    caterpillars = rejected = 0
+    for i in range(300):
+        if i % 3:
+            g = shuffle_labels(rng, random_caterpillar(rng, rng.randint(2, 40)))
+        else:
+            g = random_tree(rng, rng.randint(2, 40))
+        s = recognize_caterpillar(g)
+        got = None if s is None else (s.spine, s.reduced_degrees, s.leaves)
+        assert got == two_search_recognizer(g), g
+        caterpillars += s is not None
+        rejected += s is None
+    assert caterpillars >= 200 and rejected >= 20
+
+
+def test_recognize_rejects_disconnected_graph_with_tree_edge_count():
+    # A triangle plus a disjoint edge has n - 1 edges but is no tree.
+    g = Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+    assert recognize_caterpillar(g) is None
+    assert two_search_recognizer(g) is None

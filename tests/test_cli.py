@@ -9,7 +9,7 @@ import pytest
 import p3conv.cli
 from p3conv import unit_interval
 from p3conv.cli import main
-from p3conv.generators import random_clique_chain
+from p3conv.generators import random_biconnected_chain, random_clique_chain
 from p3conv.graphio import document_for, parse_documents, serialize_document
 
 
@@ -113,6 +113,27 @@ def test_analyze_uig_runs_one_segment_pass(capsys, tmp_path, monkeypatch):
     assert len(segment_times) >= 2
     assert int(lines["percolation_time"]) == max(segment_times)
     assert int(lines["percolation_time"]) == unit_interval.percolation_time(model)
+
+
+def test_analyze_2connected_uig_computes_split_diameter_once(capsys, tmp_path, monkeypatch):
+    g, order = random_biconnected_chain(random.Random(5), 30)
+    f = tmp_path / "chain.txt"
+    f.write_text(serialize_document(document_for(g, order=order)))
+    original = unit_interval.percolation_time_biconnected
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(unit_interval, "percolation_time_biconnected", counted)
+    rc, out, _ = run(capsys, "analyze", str(f))
+    assert rc == 0
+    assert len(calls) == 1
+    lines = dict(line.split(": ", 1) for line in out.splitlines())
+    assert lines["segments"].startswith("0..29 two_anchors t=")
+    assert lines["split_diameter"] == lines["percolation_time"]
+    assert int(lines["split_diameter"]) == original(unit_interval.build_model(g, order))
 
 
 def test_analyze_other_skips_pattern_search_without_oracle(capsys, c4_file, monkeypatch):
@@ -260,3 +281,15 @@ def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as e:
         main(["nosuchcmd"])
     assert e.value.code == 1
+
+
+def test_usage_error_after_a_successful_call(capsys, p4_file):
+    # The parser is built once and reused across calls.
+    rc, _, _ = run(capsys, "analyze", p4_file)
+    assert rc == 0
+    with pytest.raises(SystemExit) as e:
+        main(["analyze", p4_file, "--format", "yaml"])
+    assert e.value.code == 1
+    assert "invalid choice" in capsys.readouterr().err
+    rc, out, _ = run(capsys, "analyze", p4_file)
+    assert rc == 0 and "class: caterpillar" in out

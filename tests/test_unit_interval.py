@@ -388,3 +388,22 @@ def test_random_generators_match_oracle():
         g, order = make(rng, rng.randint(3, 10))
         m = build_model(g, order)
         assert percolation_time(m) == percolation_time_bruteforce(g)
+
+
+@pytest.mark.parametrize(
+    "seed, rows",
+    [
+        (0, [(0, 39, "two_anchors", 16)]),
+        (1, [(0, 39, "guarded_left", 17)]),
+        (2, [(0, 1, "edge", 1), (1, 39, "guarded_both", 19)]),
+    ],
+)
+def test_forty_vertex_clique_chains_keep_their_segment_rows(seed, rows):
+    # Rows computed by the cut-time search over full neighbor profiles and
+    # every cut time, before it was reduced to two-value profiles, bounded
+    # cut times and grouped states; these chains have cut vertices, so the
+    # search (not the split diameter) times them.
+    g, order = random_clique_chain(random.Random(seed), 40)
+    m = build_model(g, order)
+    assert not is_biconnected(g)
+    assert [(s.lo, s.hi, s.case_tag, s.time) for s in cut_segments(m)] == rows
