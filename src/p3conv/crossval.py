@@ -19,18 +19,16 @@ from .caterpillar import (
 )
 from .generators import (
     DEFAULT_SEED,
-    connected_graphs,
     random_biconnected_chain,
     random_caterpillar,
     random_clique_chain,
-    random_connected_graph,
     random_unit_interval_graph,
     realize_caterpillar,
     spine_sequences,
 )
 from .graph import is_biconnected
 from .graphio import to_graph6
-from .hereditary import interval_idempotent_by_patterns
+from .hereditary import idempotence_corpus, interval_idempotent_by_patterns
 from .oracle import (
     DEFAULT_HULL_CAP,
     DEFAULT_PROPERTY_CAP,
@@ -257,31 +255,17 @@ def idempotence_suite(
     rows: list[CheckRow] = []
     skipped: list[str] = []
 
-    def probe(g):
+    for g in idempotence_corpus(max_n, seed, samples_per_size):
         instance = f"g6-{to_graph6(g)}"
         if g.n > property_cap:
             skipped.append(f"{instance}/interval_idempotent")
-            return
+            continue
         t0 = perf_counter()
         fv = int(interval_idempotent_by_patterns(g))
         ov = int(interval_idempotent_bruteforce(g, property_cap))
         rows.append(
             CheckRow(instance, "interval_idempotent", fv, ov, perf_counter() - t0)
         )
-
-    for n in range(1, min(max_n, 7) + 1):
-        for g in connected_graphs(n):
-            probe(g)
-    if max_n > 7:
-        rng = random.Random(seed)
-        for n in range(8, max_n + 1):
-            seen = set()
-            for _ in range(samples_per_size):
-                g = random_connected_graph(rng, n)
-                key = tuple(g.edges())
-                if key not in seen:
-                    seen.add(key)
-                    probe(g)
 
     return _sorted_report(rows, skipped)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 from .graph import Graph, contains_induced
 from .oracle import (
@@ -49,6 +50,28 @@ def find_forbidden_patterns(g: Graph) -> tuple[str, ...]:
 def interval_idempotent_by_patterns(g: Graph) -> bool:
     """Predict idempotence from the absence of the four breaking patterns."""
     return not any(contains_induced(g, p.graph) for p in FORBIDDEN_PATTERNS)
+
+
+def idempotence_corpus(
+    max_n: int, seed: int, samples_per_size: int
+) -> Iterator[Graph]:
+    """Connected graphs to probe for idempotence, smallest first.
+
+    Every connected graph with up to seven vertices, one per isomorphism
+    class; then, for each size from eight to max_n, samples_per_size seeded
+    random connected graphs, each edge list probed once.
+    """
+    for n in range(1, min(max_n, 7) + 1):
+        yield from connected_graphs(n)
+    rng = random.Random(seed)
+    for n in range(8, max_n + 1):
+        seen: set[tuple[tuple[int, int], ...]] = set()
+        for _ in range(samples_per_size):
+            g = random_connected_graph(rng, n)
+            key = tuple(g.edges())
+            if key not in seen:
+                seen.add(key)
+                yield g
 
 
 @dataclass(frozen=True)
@@ -91,14 +114,12 @@ def crosscheck_interval_idempotence(
     forward: list[Disagreement] = []
     reverse: list[Disagreement] = []
     checked = 0
-
-    def probe(g: Graph) -> None:
-        nonlocal checked
+    for g in idempotence_corpus(max_n, seed, samples_per_size):
         checked += 1
         pattern_free = interval_idempotent_by_patterns(g)
         direct = interval_idempotent_bruteforce(g)
         if pattern_free == direct:
-            return
+            continue
         entry = Disagreement(
             to_graph6(g), g.n, tuple(g.edges()), pattern_free, direct
         )
@@ -106,21 +127,6 @@ def crosscheck_interval_idempotence(
             forward.append(entry)
         else:
             reverse.append(entry)
-
-    for n in range(1, min(max_n, 7) + 1):
-        for g in connected_graphs(n):
-            probe(g)
-    if max_n > 7:
-        rng = random.Random(seed)
-        for n in range(8, max_n + 1):
-            seen: set[tuple[tuple[int, int], ...]] = set()
-            for _ in range(samples_per_size):
-                g = random_connected_graph(rng, n)
-                key = tuple(g.edges())
-                if key in seen:
-                    continue
-                seen.add(key)
-                probe(g)
 
     key = lambda d: (d.vertex_count, d.graph6)
     return CrosscheckReport(

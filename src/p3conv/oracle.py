@@ -5,16 +5,32 @@ and infection never recedes.  Everything here enumerates vertex subsets
 directly, so it is exponential by design: these functions exist to validate
 the closed-form results on small graphs, not to be fast.
 
-Subset enumeration skips vertices of degree below two.  Such a vertex can
-never become infected by its neighbors, so it belongs to every set whose
-closure is to cover the whole graph; folding them in up front shrinks the
-search space without changing any answer.
+Every public function is a short reduction over one core of two private
+pieces, on vertex sets held as bitmasks (bit v stands for vertex v):
+
+- ``_spread`` runs the process from a start set and yields the infected set
+  after each round, from round 0 until a round infects nothing.  It keeps
+  the vertices seen once and seen twice among the neighborhoods of the
+  infected vertices, adding each vertex's adjacency mask once, in the round
+  that infects it; the next round infects the vertices seen twice.  The
+  one-round interval, the closure and the round list all come from it.
+- ``_start_sets`` enumerates start sets by rising size.  A vertex of degree
+  below two can never become infected by its neighbors, so it belongs to
+  every set whose closure is to cover the whole graph.  Every start set
+  holds all such vertices plus k others, with k rising from 0 and the sets
+  of one size in ``itertools.combinations`` order.  Folding the forced
+  vertices in up front shrinks the search space without changing any
+  answer, and the empty graph gets the empty start set, which covers it.
+
+The hull and geodetic numbers are the smallest size of a start set that
+covers the graph, eventually or in one round; the percolation times are
+maxima over the round lists of the start sets that cover it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Iterator, Optional
 
 from .graph import Graph
@@ -36,46 +52,83 @@ def _require_within(g: Graph, max_n: int, what: str) -> None:
 
 
 def _adjacency_masks(g: Graph) -> list[int]:
-    masks = [0] * g.n
-    for u in range(g.n):
-        m = 0
-        for w in g.adj(u):
-            m |= 1 << w
-        masks[u] = m
-    return masks
+    return [sum(1 << w for w in g.adj(v)) for v in range(g.n)]
 
 
-def _spread_once(masks: list[int], current: int, n: int) -> int:
-    nxt = current
-    for v in range(n):
-        bit = 1 << v
-        if current & bit:
-            continue
-        if (masks[v] & current).bit_count() >= 2:
-            nxt |= bit
-    return nxt
+def _mask_of(g: Graph, vertices: Iterable[int]) -> int:
+    mask = 0
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} outside range 0..{g.n - 1}")
+        mask |= 1 << v
+    return mask
 
 
-def _closure_rounds(masks: list[int], start: int, n: int) -> list[int]:
-    """Masks after each round, beginning with the start set, ending at the fixpoint."""
-    rounds = [start]
-    current = start
+def _members(mask: int) -> frozenset[int]:
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def _spread(masks: list[int], start: int) -> Iterator[int]:
+    """Infected sets after rounds 0, 1, 2, ... until a round infects nothing."""
+    once = twice = 0
+    infected = fresh = start
     while True:
-        nxt = _spread_once(masks, current, n)
-        if nxt == current:
-            return rounds
-        rounds.append(nxt)
-        current = nxt
+        yield infected
+        while fresh:
+            low = fresh & -fresh
+            nbrs = masks[low.bit_length() - 1]
+            twice |= once & nbrs
+            once |= nbrs
+            fresh ^= low
+        fresh = twice & ~infected
+        if not fresh:
+            return
+        infected |= fresh
+
+
+def _start_sets(masks: list[int]) -> Iterator[int]:
+    """The vertices of degree below two plus k others, k rising from 0."""
+    forced = 0
+    free = []
+    for v, nbrs in enumerate(masks):
+        if nbrs.bit_count() < 2:
+            forced |= 1 << v
+        else:
+            free.append(1 << v)
+    for k in range(len(free) + 1):
+        for combo in combinations(free, k):
+            yield forced | sum(combo)
+
+
+def _smallest_covers(masks: list[int], stop: Optional[int] = None) -> Iterator[int]:
+    """Start sets of the smallest size that infect every vertex within stop - 1 rounds.
+
+    Lazy and in enumeration order.  ``stop=None`` runs each start set to its
+    fixpoint (hull sets); ``stop=2`` allows one round (geodetic sets).
+    """
+    full = (1 << len(masks)) - 1
+    size = len(masks)
+    for s in _start_sets(masks):
+        if s.bit_count() > size:
+            return
+        if list(islice(_spread(masks, s), stop))[-1] == full:
+            size = s.bit_count()
+            yield s
+
+
+def _percolating_rounds(masks: list[int]) -> Iterator[list[int]]:
+    """Round lists of the start sets whose infection reaches every vertex."""
+    full = (1 << len(masks)) - 1
+    for s in _start_sets(masks):
+        rounds = list(_spread(masks, s))
+        if rounds[-1] == full:
+            yield rounds
 
 
 def interval(g: Graph, s: Iterable[int]) -> frozenset[int]:
     """One infection round: s together with vertices having two infected neighbors."""
-    start = frozenset(s)
-    out = set(start)
-    for v in range(g.n):
-        if v not in start and len(g.adj(v) & start) >= 2:
-            out.add(v)
-    return frozenset(out)
+    first_two = islice(_spread(_adjacency_masks(g), _mask_of(g, s)), 2)
+    return _members(list(first_two)[-1])
 
 
 @dataclass(frozen=True)
@@ -90,35 +143,17 @@ class PercolationTrace:
     def closure(self) -> frozenset[int]:
         return self.rounds[-1]
 
-    @property
-    def total_rounds(self) -> int:
-        """Rounds until nothing more changes (0 when the start set is already closed)."""
-        return len(self.rounds) - 1
-
 
 def percolate(g: Graph, s: Iterable[int]) -> PercolationTrace:
     """Run the infection process from s until it stabilizes."""
-    start = 0
-    for v in set(s):
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} outside range 0..{g.n - 1}")
-        start |= 1 << v
-    masks = _adjacency_masks(g)
-    rounds = _closure_rounds(masks, start, g.n)
-    time_of: list[Optional[int]] = [None] * g.n
-    for v in range(g.n):
-        bit = 1 << v
-        for t, m in enumerate(rounds):
-            if m & bit:
-                time_of[v] = t
-                break
-    full = (1 << g.n) - 1
+    rounds = list(_spread(_adjacency_masks(g), _mask_of(g, s)))
     return PercolationTrace(
-        rounds=tuple(
-            frozenset(v for v in range(g.n) if m & (1 << v)) for m in rounds
+        rounds=tuple(_members(m) for m in rounds),
+        time_of=tuple(
+            next((t for t, m in enumerate(rounds) if m >> v & 1), None)
+            for v in range(g.n)
         ),
-        time_of=tuple(time_of),
-        percolated=rounds[-1] == full,
+        percolated=rounds[-1] == (1 << g.n) - 1,
     )
 
 
@@ -127,97 +162,28 @@ def hull_closure(g: Graph, s: Iterable[int]) -> frozenset[int]:
     return percolate(g, s).closure
 
 
-def _forced_mask(masks: list[int], n: int) -> int:
-    forced = 0
-    for v in range(n):
-        if masks[v].bit_count() < 2:
-            forced |= 1 << v
-    return forced
-
-
-def _subsets_by_size(free: list[int], extra: int) -> Iterator[int]:
-    """Masks of `extra` free vertices, ascending in the combinations order."""
-    for combo in combinations(free, extra):
-        m = 0
-        for v in combo:
-            m |= 1 << v
-        yield m
-
-
 def hull_number_bruteforce(g: Graph, max_n: int = DEFAULT_HULL_CAP) -> int:
     """Minimum size of a set whose closure is the whole vertex set."""
     _require_within(g, max_n, "hull number search")
-    if g.n == 0:
-        return 0
-    masks = _adjacency_masks(g)
-    full = (1 << g.n) - 1
-    forced = _forced_mask(masks, g.n)
-    free = [v for v in range(g.n) if not forced & (1 << v)]
-    base = forced.bit_count()
-    for extra in range(len(free) + 1):
-        for m in _subsets_by_size(free, extra):
-            start = forced | m
-            if _closure_rounds(masks, start, g.n)[-1] == full:
-                return base + extra
-    raise AssertionError("the full vertex set always percolates")
+    return next(_smallest_covers(_adjacency_masks(g))).bit_count()
 
 
 def minimum_hull_sets(g: Graph, max_n: int = DEFAULT_HULL_CAP) -> list[frozenset[int]]:
     """All minimum-size sets whose closure is the whole vertex set."""
     _require_within(g, max_n, "hull set search")
-    if g.n == 0:
-        return [frozenset()]
-    masks = _adjacency_masks(g)
-    full = (1 << g.n) - 1
-    forced = _forced_mask(masks, g.n)
-    free = [v for v in range(g.n) if not forced & (1 << v)]
-    for extra in range(len(free) + 1):
-        found = [
-            forced | m
-            for m in _subsets_by_size(free, extra)
-            if _closure_rounds(masks, forced | m, g.n)[-1] == full
-        ]
-        if found:
-            return [
-                frozenset(v for v in range(g.n) if s & (1 << v)) for s in found
-            ]
-    raise AssertionError("the full vertex set always percolates")
+    return [_members(s) for s in _smallest_covers(_adjacency_masks(g))]
 
 
 def geodetic_number_bruteforce(g: Graph, max_n: int = DEFAULT_HULL_CAP) -> int:
     """Minimum size of a set that covers the whole graph in a single round."""
     _require_within(g, max_n, "geodetic number search")
-    if g.n == 0:
-        return 0
-    masks = _adjacency_masks(g)
-    full = (1 << g.n) - 1
-    forced = _forced_mask(masks, g.n)
-    free = [v for v in range(g.n) if not forced & (1 << v)]
-    base = forced.bit_count()
-    for extra in range(len(free) + 1):
-        for m in _subsets_by_size(free, extra):
-            start = forced | m
-            if _spread_once(masks, start, g.n) == full:
-                return base + extra
-    raise AssertionError("the full vertex set covers itself")
+    return next(_smallest_covers(_adjacency_masks(g), 2)).bit_count()
 
 
 def percolation_time_bruteforce(g: Graph, max_n: int = DEFAULT_TIME_CAP) -> int:
     """Largest number of rounds any percolating set needs to cover the graph."""
     _require_within(g, max_n, "percolation time search")
-    if g.n == 0:
-        return 0
-    masks = _adjacency_masks(g)
-    full = (1 << g.n) - 1
-    forced = _forced_mask(masks, g.n)
-    free = [v for v in range(g.n) if not forced & (1 << v)]
-    best = 0
-    for extra in range(len(free) + 1):
-        for m in _subsets_by_size(free, extra):
-            rounds = _closure_rounds(masks, forced | m, g.n)
-            if rounds[-1] == full and len(rounds) - 1 > best:
-                best = len(rounds) - 1
-    return best
+    return max(len(rounds) - 1 for rounds in _percolating_rounds(_adjacency_masks(g)))
 
 
 def vertex_percolation_time_bruteforce(
@@ -225,38 +191,20 @@ def vertex_percolation_time_bruteforce(
 ) -> int:
     """Latest round at which v gets infected, over all percolating start sets."""
     _require_within(g, max_n, "vertex percolation time search")
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} outside range 0..{g.n - 1}")
-    masks = _adjacency_masks(g)
-    full = (1 << g.n) - 1
-    forced = _forced_mask(masks, g.n)
-    free = [u for u in range(g.n) if not forced & (1 << u)]
-    bit = 1 << v
-    best = 0
-    for extra in range(len(free) + 1):
-        for m in _subsets_by_size(free, extra):
-            rounds = _closure_rounds(masks, forced | m, g.n)
-            if rounds[-1] != full:
-                continue
-            for t, mask in enumerate(rounds):
-                if mask & bit:
-                    if t > best:
-                        best = t
-                    break
-    return best
+    bit = _mask_of(g, (v,))
+    return max(
+        next(t for t, m in enumerate(rounds) if m & bit)
+        for rounds in _percolating_rounds(_adjacency_masks(g))
+    )
 
 
 def interval_idempotent_bruteforce(g: Graph, max_n: int = DEFAULT_PROPERTY_CAP) -> bool:
     """Whether spreading once from any vertex set already reaches a fixpoint.
 
     True iff for every S the set infected after one round equals the set
-    infected after two rounds.  Checks all 2^n subsets.
+    infected after two rounds, that is, no start set has a second round
+    that infects anything.  Checks all 2^n subsets.
     """
     _require_within(g, max_n, "interval idempotence check")
     masks = _adjacency_masks(g)
-    n = g.n
-    for s in range(1 << n):
-        once = _spread_once(masks, s, n)
-        if _spread_once(masks, once, n) != once:
-            return False
-    return True
+    return all(len(list(islice(_spread(masks, s), 3))) < 3 for s in range(1 << g.n))

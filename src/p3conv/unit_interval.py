@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .graph import Graph, blocks, is_biconnected
+from .graph import Graph, blocks
 
 
 class UnitIntervalModel:
@@ -27,7 +27,7 @@ class UnitIntervalModel:
     increasing starts and ends.
     """
 
-    __slots__ = ("graph", "order", "right", "cliques", "_pos")
+    __slots__ = ("graph", "order", "right", "cliques")
 
     def __init__(self, graph: Graph, order: Sequence[int]):
         order = tuple(order)
@@ -52,10 +52,6 @@ class UnitIntervalModel:
         self.order = order
         self.right = tuple(right)
         self.cliques = tuple(cliques)
-        self._pos = pos
-
-    def position_of(self, v: int) -> int:
-        return self._pos[v]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UnitIntervalModel):
@@ -155,6 +151,19 @@ def singular_positions(model: UnitIntervalModel) -> tuple[int, ...]:
     return tuple(_singulars(model.cliques))
 
 
+def _biconnected(model: UnitIntervalModel) -> bool:
+    """Whether the model's graph is 2-connected, read off the order in O(n).
+
+    The graph is connected exactly when every position but the last
+    reaches past itself, and an inner position p is then a cut vertex
+    exactly when no edge jumps over it, that is right[p - 1] <= p.  With
+    ``right`` nondecreasing, on three or more vertices neither happens
+    exactly when right[p] >= p + 2 for every p < n - 2.
+    """
+    n = model.graph.n
+    return n >= 3 and all(model.right[p] >= p + 2 for p in range(n - 2))
+
+
 def split_singular_vertices(model: UnitIntervalModel) -> UnitIntervalModel:
     """Duplicate each singular position so that adjacent cliques overlap in two.
 
@@ -166,7 +175,7 @@ def split_singular_vertices(model: UnitIntervalModel) -> UnitIntervalModel:
     strictly before it.  Only defined for 2-connected graphs on at least
     three vertices.
     """
-    if not is_biconnected(model.graph):
+    if not _biconnected(model):
         raise ValueError("vertex splitting needs a 2-connected graph on 3+ vertices")
     sing = _singulars(model.cliques)
     cliques = [
@@ -271,7 +280,7 @@ def _segment_time(model: UnitIntervalModel, a: int, b: int, left: str, right: st
     is the whole 2-connected graph, and its time is the diameter of the
     split graph (``percolation_time_biconnected``), with no search.
     """
-    if left == right == "anchor" and is_biconnected(model.graph):
+    if left == right == "anchor" and _biconnected(model):
         return percolation_time_biconnected(model)
     adj = _segment_adjacency(model, a, b)
     m = len(adj)

@@ -7,9 +7,11 @@ import re
 import pytest
 
 import p3conv.cli
+import p3conv.graph
 from p3conv import unit_interval
 from p3conv.cli import main
 from p3conv.generators import random_biconnected_chain, random_clique_chain
+from p3conv.graph import blocks as graph_blocks
 from p3conv.graphio import document_for, parse_documents, serialize_document
 
 
@@ -127,9 +129,20 @@ def test_analyze_2connected_uig_computes_split_diameter_once(capsys, tmp_path, m
         return original(m)
 
     monkeypatch.setattr(unit_interval, "percolation_time_biconnected", counted)
+    searches = []
+
+    def counted_blocks(graph):
+        searches.append(graph)
+        return graph_blocks(graph)
+
+    # The 2-connectivity guards of the split read the model's order; only
+    # the split_diameter line's is_biconnected searches for blocks.
+    monkeypatch.setattr(p3conv.graph, "blocks", counted_blocks)
+    monkeypatch.setattr(unit_interval, "blocks", counted_blocks)
     rc, out, _ = run(capsys, "analyze", str(f))
     assert rc == 0
     assert len(calls) == 1
+    assert len(searches) == 1
     lines = dict(line.split(": ", 1) for line in out.splitlines())
     assert lines["segments"].startswith("0..29 two_anchors t=")
     assert lines["split_diameter"] == lines["percolation_time"]

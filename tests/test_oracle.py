@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from p3conv.generators import connected_graphs
 from p3conv.graph import Graph
 from p3conv.oracle import (
     CapExceeded,
@@ -46,6 +47,14 @@ def test_interval_is_one_round():
     # one round only: the new vertex cannot recruit further in the same call
     p = path(5)
     assert interval(p, {0, 2}) == frozenset({0, 1, 2})
+
+
+def test_interval_rejects_vertices_outside_the_graph():
+    for op in (interval, hull_closure, percolate):
+        with pytest.raises(ValueError, match="outside range"):
+            op(path(3), {0, 2, 99})
+        with pytest.raises(ValueError, match="outside range"):
+            op(path(3), {-1})
 
 
 def test_hull_closure_runs_to_fixpoint():
@@ -98,6 +107,30 @@ def test_idempotence_bruteforce():
     assert not interval_idempotent_bruteforce(diamond)
 
 
+def test_totals_over_connected_graphs_up_to_six_vertices():
+    graphs = [g for n in range(1, 7) for g in connected_graphs(n)]
+    assert len(graphs) == 143
+    assert sum(hull_number_bruteforce(g) for g in graphs) == 347
+    assert sum(geodetic_number_bruteforce(g) for g in graphs) == 431
+    assert sum(percolation_time_bruteforce(g) for g in graphs) == 356
+    assert sum(len(minimum_hull_sets(g)) for g in graphs) == 1028
+    vertex_times = [
+        vertex_percolation_time_bruteforce(g, v) for g in graphs for v in range(g.n)
+    ]
+    assert sum(vertex_times) == 1433
+    assert sum(interval_idempotent_bruteforce(g) for g in graphs) == 16
+
+
+def test_empty_graph():
+    empty = Graph(0)
+    assert hull_number_bruteforce(empty) == 0
+    assert geodetic_number_bruteforce(empty) == 0
+    assert percolation_time_bruteforce(empty) == 0
+    assert minimum_hull_sets(empty) == [frozenset()]
+    assert interval_idempotent_bruteforce(empty)
+    assert percolate(empty, ()).percolated
+
+
 def test_caps_raise():
     big = path(21)
     with pytest.raises(CapExceeded):
@@ -121,6 +154,24 @@ def graph_and_sets(draw):
     small = draw(st.sets(st.integers(0, n - 1), max_size=n))
     grow = draw(st.sets(st.integers(0, n - 1), max_size=n))
     return g, small, small | grow
+
+
+@given(graph_and_sets())
+def test_rounds_match_a_set_based_spread(data):
+    g, s, _ = data
+
+    def one_round(infected):
+        return infected | {
+            v for v in range(g.n) if len(g.adj(v) & infected) >= 2
+        }
+
+    expected = [frozenset(s)]
+    while (nxt := one_round(expected[-1])) != expected[-1]:
+        expected.append(nxt)
+    trace = percolate(g, s)
+    assert list(trace.rounds) == expected
+    assert trace.percolated == (expected[-1] == frozenset(range(g.n)))
+    assert interval(g, s) == one_round(frozenset(s))
 
 
 @given(graph_and_sets())

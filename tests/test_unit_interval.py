@@ -185,6 +185,18 @@ def test_split_requires_biconnected():
     bowtie = build_model(chain_graph(5, [(0, 2), (2, 4)]), tuple(range(5)))
     with pytest.raises(ValueError):
         split_singular_vertices(bowtie)
+    # The guard reads the order; it must agree with the block search on
+    # every connected layout and on graphs too small or disconnected.
+    graphs = [Graph(0), Graph(1), Graph(2, [(0, 1)]), Graph(4, [(0, 1), (2, 3)])]
+    for n in range(3, 9):
+        graphs += [chain_graph(n, cliques) for cliques in interval_systems(n)]
+    for g in graphs:
+        m = build_model(g, range(g.n))
+        if is_biconnected(g):
+            split_singular_vertices(m)
+        else:
+            with pytest.raises(ValueError):
+                split_singular_vertices(m)
 
 
 def test_split_on_overlapping_chain():
