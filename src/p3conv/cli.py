@@ -23,7 +23,6 @@ from .crossval import (
     caterpillar_suite,
     full_suite,
     idempotence_suite,
-    merge_reports,
     uig_suite,
 )
 from .generators import (
@@ -35,7 +34,6 @@ from .generators import (
     realize_caterpillar,
     spine_sequences,
 )
-from .graph import Graph, is_biconnected
 from .graphio import (
     GraphDocument,
     ParseError,
@@ -181,7 +179,7 @@ def _cmd_analyze(args) -> int:
         payload["order"] = list(model.order)
         payload["cliques"] = [[a, b] for a, b in model.cliques]
         payload["singular_positions"] = list(singular_positions(model))
-        if g.is_connected():
+        if model.connected:
             time = 0
             if g.n >= 3:
                 segments = cut_segments(model)
@@ -191,7 +189,7 @@ def _cmd_analyze(args) -> int:
                 time = max(s.time for s in segments)
             formula_values = {"percolation_time": time}
             payload.update(formula_values)
-            if is_biconnected(g):
+            if model.biconnected:
                 # A 2-connected graph is one two_anchors segment, timed by
                 # the split diameter.
                 payload["split_diameter"] = time

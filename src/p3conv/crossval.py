@@ -26,7 +26,6 @@ from .generators import (
     realize_caterpillar,
     spine_sequences,
 )
-from .graph import is_biconnected
 from .graphio import to_graph6
 from .hereditary import idempotence_corpus, interval_idempotent_by_patterns
 from .oracle import (
@@ -224,7 +223,7 @@ def uig_suite(
             rows.append(
                 CheckRow(instance, "percolation_time", fv, ov, perf_counter() - t0)
             )
-            if is_biconnected(g):
+            if model.biconnected:
                 t0 = perf_counter()
                 bv = percolation_time_biconnected(model)
                 rows.append(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .graph import Graph, blocks
+from .graph import Graph
 
 
 class UnitIntervalModel:
@@ -52,6 +52,23 @@ class UnitIntervalModel:
         self.order = order
         self.right = tuple(right)
         self.cliques = tuple(cliques)
+
+    @property
+    def connected(self) -> bool:
+        """Whether the graph is connected: each position but the last reaches past itself."""
+        return all(r > p for p, r in enumerate(self.right[:-1]))
+
+    @property
+    def biconnected(self) -> bool:
+        """Whether the graph is 2-connected, read off the order in O(n).
+
+        A connected graph has an inner cut vertex p exactly when no edge
+        jumps over it, right[p - 1] <= p.  With ``right`` nondecreasing, on
+        three or more vertices neither fault occurs exactly when
+        right[p] >= p + 2 for every p < n - 2.
+        """
+        n = len(self.right)
+        return n >= 3 and all(r >= p + 2 for p, r in enumerate(self.right[:-2]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UnitIntervalModel):
@@ -151,17 +168,12 @@ def singular_positions(model: UnitIntervalModel) -> tuple[int, ...]:
     return tuple(_singulars(model.cliques))
 
 
-def _biconnected(model: UnitIntervalModel) -> bool:
-    """Whether the model's graph is 2-connected, read off the order in O(n).
-
-    The graph is connected exactly when every position but the last
-    reaches past itself, and an inner position p is then a cut vertex
-    exactly when no edge jumps over it, that is right[p - 1] <= p.  With
-    ``right`` nondecreasing, on three or more vertices neither happens
-    exactly when right[p] >= p + 2 for every p < n - 2.
-    """
-    n = model.graph.n
-    return n >= 3 and all(model.right[p] >= p + 2 for p in range(n - 2))
+def _split_cliques(model: UnitIntervalModel) -> list[tuple[int, int]]:
+    """The cliques of ``split_singular_vertices(model)``, without its graph."""
+    if not model.biconnected:
+        raise ValueError("vertex splitting needs a 2-connected graph on 3+ vertices")
+    sing = _singulars(model.cliques)
+    return [(a + bisect_right(sing, a), b + bisect_left(sing, b)) for a, b in model.cliques]
 
 
 def split_singular_vertices(model: UnitIntervalModel) -> UnitIntervalModel:
@@ -175,13 +187,8 @@ def split_singular_vertices(model: UnitIntervalModel) -> UnitIntervalModel:
     strictly before it.  Only defined for 2-connected graphs on at least
     three vertices.
     """
-    if not _biconnected(model):
-        raise ValueError("vertex splitting needs a 2-connected graph on 3+ vertices")
-    sing = _singulars(model.cliques)
-    cliques = [
-        (a + bisect_right(sing, a), b + bisect_left(sing, b)) for a, b in model.cliques
-    ]
-    n = model.graph.n + len(sing)
+    cliques = _split_cliques(model)
+    n = cliques[-1][1] + 1
     edges = set()
     for a, b in cliques:
         for i in range(a, b + 1):
@@ -190,28 +197,39 @@ def split_singular_vertices(model: UnitIntervalModel) -> UnitIntervalModel:
     return UnitIntervalModel(Graph(n, sorted(edges)), range(n))
 
 
+def _walk(cliques: Sequence[tuple[int, int]]) -> int:
+    """Steps from the first position to the last by greedy right jumps.
+
+    From position p the walk jumps to the end of the last clique that
+    starts at or before p, which is p's farthest neighbor to the right.
+    """
+    steps = p = i = 0
+    while p < cliques[-1][1]:
+        while i + 1 < len(cliques) and cliques[i + 1][0] <= p:
+            i += 1
+        if cliques[i][1] == p:
+            raise ValueError("graph is disconnected")
+        p = cliques[i][1]
+        steps += 1
+    return steps
+
+
 def diameter_endpoints(model: UnitIntervalModel) -> int:
     """Distance between the first and last position, by greedy right jumps.
 
     For a connected model this equals the diameter of the graph.
     """
-    n = model.graph.n
-    if n == 0:
+    if model.graph.n == 0:
         raise ValueError("empty graph has no diameter")
-    steps = 0
-    p = 0
-    while p < n - 1:
-        r = model.right[p]
-        if r == p:
-            raise ValueError("graph is disconnected")
-        p = r
-        steps += 1
-    return steps
+    return _walk(model.cliques)
 
 
 def percolation_time_biconnected(model: UnitIntervalModel) -> int:
-    """Worst-case spreading time of a 2-connected unit interval graph."""
-    return diameter_endpoints(split_singular_vertices(model))
+    """Worst-case spreading time of a 2-connected unit interval graph.
+
+    It is the diameter of the split graph, walked over the split cliques.
+    """
+    return _walk(_split_cliques(model))
 
 
 @dataclass(frozen=True)
@@ -224,31 +242,21 @@ class CutSegment:
     time: int
 
 
-def _segment_adjacency(model: UnitIntervalModel, lo: int, hi: int) -> list[set[int]]:
-    m = hi - lo + 1
-    adj: list[set[int]] = [set() for _ in range(m)]
-    for p in range(lo, hi + 1):
-        r = min(model.right[p], hi)
-        for q in range(p + 1, r + 1):
-            adj[p - lo].add(q - lo)
-            adj[q - lo].add(p - lo)
-    return adj
-
-
 def _segment_time(model: UnitIntervalModel, a: int, b: int, left: str, right: str) -> int:
     """Worst completion time of segment a..b over all spanning start sets.
 
-    The segment is a chain of 2-connected blocks joined at cut vertices.  A
-    start set is normalized to at most two vertices per block: any vertex
-    ignited by a larger set is already ignited by some pair inside it, and
-    shrinking a start set never speeds anything up.  For a fixed choice of
-    per-block seeds the spreading process is determined by the firing times
-    of the cut vertices, and those times are the unique assignment where
-    each cut fires one round after its second-earliest infected neighbor,
-    counting neighbors on both sides.  The search below enumerates per-block
-    seeds and candidate cut times left to right and keeps only assignments
-    that satisfy that firing equation, so every surviving schedule is
-    realizable and the realized worst case survives.
+    The segment is a chain of 2-connected blocks joined at cut vertices, the
+    positions that no edge jumps over.  A start set is normalized to at most
+    two vertices per block: any vertex ignited by a larger set is already
+    ignited by some pair inside it, and shrinking a start set never speeds
+    anything up.  For a fixed choice of per-block seeds the spreading
+    process is determined by the firing times of the cut vertices, and those
+    times are the unique assignment where each cut fires one round after its
+    second-earliest infected neighbor, counting neighbors on both sides.
+    The search below enumerates per-block seeds and candidate cut times
+    left to right and keeps only assignments that satisfy that firing
+    equation, so every surviving schedule is realizable and the realized
+    worst case survives.
 
     A search state at a cut is its candidate time u, whether it is seeded,
     and its profile: the times of its left neighbors with the cut itself
@@ -280,30 +288,28 @@ def _segment_time(model: UnitIntervalModel, a: int, b: int, left: str, right: st
     is the whole 2-connected graph, and its time is the diameter of the
     split graph (``percolation_time_biconnected``), with no search.
     """
-    if left == right == "anchor" and _biconnected(model):
+    if left == right == "anchor" and model.biconnected:
         return percolation_time_biconnected(model)
-    adj = _segment_adjacency(model, a, b)
-    m = len(adj)
-    decomp = blocks(Graph(m, sorted((p, q) for p in range(m) for q in adj[p] if p < q)))
-    for blk in decomp.blocks:
-        ps = sorted(blk)
-        if ps[-1] - ps[0] + 1 != len(ps):
-            raise RuntimeError("blocks of a unit interval order must be contiguous")
-    bounds = [0, *sorted(decomp.cut_vertices), m - 1]
+    rs = model.right
+    m = b - a + 1
+    bounds = [0, *(p - a for p in range(a + 1, b) if rs[p - 1] == p), m - 1]
     nblocks = len(bounds) - 1
     forced = {p for p, kind in ((0, left), (m - 1, right)) if kind == "pendant"}
     tmax = m + 4
     # Vertex sets are bitmasks over the segment's positions.  Per block,
-    # nbrs maps a vertex's bit to the mask of its in-block neighbors, need to
-    # the number of them that must be infected for it to fire (one at a cut
-    # end, which has the helper), and seeds lists the seed choices: at most
-    # two vertices, each block but the first leaving its left cut to the
-    # block before, and the pendant ends always included.
+    # nbrs maps a vertex's bit to the mask of its in-block neighbors (the
+    # positions from its leftmost neighbor to its rightmost, clipped), need
+    # to the number of them that must be infected for it to fire (one at a
+    # cut end, which has the helper), and seeds lists the seed choices: at
+    # most two vertices, each block but the first leaving its left cut to
+    # the block before, and the pendant ends always included.
     nbrs, need, seeds = [], [], []
     for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        nbrs.append(
-            {1 << p: sum(1 << q for q in adj[p] if lo <= q <= hi) for p in range(lo, hi + 1)}
-        )
+        nbrs.append({
+            1 << p: ((2 << min(rs[a + p] - a, hi)) - (1 << max(bisect_left(rs, a + p) - a, lo)))
+            ^ (1 << p)
+            for p in range(lo, hi + 1)
+        })
         need.append(dict.fromkeys(nbrs[i], 2))
         pool = range(lo if i == 0 else lo + 1, hi + 1)
         musts = [p for p in pool if p in forced]
@@ -383,13 +389,6 @@ def _segment_time(model: UnitIntervalModel, a: int, b: int, left: str, right: st
         got = memo[key] = (len(times) == len(nbr), last, times)
         return got
 
-    if nblocks == 1:
-        runs = [evolve(0, sigma, None, None) for sigma in seeds[0]]
-        best = max((last for full, last, _ in runs if full), default=-1)
-        if best < 0:
-            raise RuntimeError("no spreading schedule covers the segment")
-        return best
-
     def low2(times: dict[int, int], mask: int) -> tuple[int, ...]:
         return tuple(sorted(t for bit, t in times.items() if bit & mask)[:2])
 
@@ -399,35 +398,26 @@ def _segment_time(model: UnitIntervalModel, a: int, b: int, left: str, right: st
         return range(1, min(tmax, profile[1] + 1) + 1 if len(profile) == 2 else tmax + 1)
 
     # states[u, seeded][profile]: the largest completion time so far over
-    # schedules whose current cut fires at u with that profile.
-    states: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
-    for sigma in seeds[0]:
-        seeded = sigma >> bounds[1] & 1
-        profile = () if seeded else low2(evolve(0, sigma, None, None)[2], nbrs[0][1 << bounds[1]])
-        for u0 in cut_times(seeded, profile):
-            full, last, _ = evolve(0, sigma, None, u0)
-            if full:
-                group = states.setdefault((u0, seeded), {})
-                group[profile] = max(group.get(profile, -1), last)
-
+    # schedules whose block's left cut fires at u with that profile.  The
+    # first block enters from one seeded state with no clamp (u = None),
+    # which skips the firing check at its left end.
+    states: dict[tuple[Optional[int], int], dict[tuple[int, ...], int]] = {(None, 1): {(): -1}}
     answer = -1
-    for j in range(nblocks - 1):
-        final = j == nblocks - 2
-        nxt: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
+    for j in range(nblocks):
+        final = j == nblocks - 1
+        nxt: dict[tuple[Optional[int], int], dict[tuple[int, ...], int]] = {}
         # Per transition, not per state: the right neighbors' two smallest
         # times per (seeds, next cut time), and per (u, those times) the
         # best value among the passing profiles of group (u, unseeded).
         right_pairs: dict[tuple[int, Optional[int]], tuple[int, ...]] = {}
         passing: dict[tuple[int, tuple[int, ...]], int] = {}
         for (u, seeded), group in states.items():
-            for sigma in seeds[j + 1]:
+            for sigma in seeds[j]:
                 seeded2, profile2, u2s = 0, (), (None,)
                 if not final:
-                    seeded2 = sigma >> bounds[j + 2] & 1
+                    seeded2 = sigma >> bounds[j + 1] & 1
                     if not seeded2:
-                        profile2 = low2(
-                            evolve(j + 1, sigma, u, None)[2], nbrs[j + 1][1 << bounds[j + 2]]
-                        )
+                        profile2 = low2(evolve(j, sigma, u, None)[2], nbrs[j][1 << bounds[j + 1]])
                     u2s = cut_times(seeded2, profile2)
                 for u2 in u2s:
                     if seeded:
@@ -436,7 +426,7 @@ def _segment_time(model: UnitIntervalModel, a: int, b: int, left: str, right: st
                         pair = right_pairs.get((sigma, u2))
                         if pair is None:
                             pair = right_pairs[sigma, u2] = low2(
-                                evolve(j + 1, sigma, None, u2)[2], nbrs[j + 1][1 << bounds[j + 1]]
+                                evolve(j, sigma, None, u2)[2], nbrs[j][1 << bounds[j]]
                             )
                         val = passing.get((u, pair))
                         if val is None:
@@ -447,7 +437,7 @@ def _segment_time(model: UnitIntervalModel, a: int, b: int, left: str, right: st
                             )
                         if val < 0:
                             continue
-                    full, last, _ = evolve(j + 1, sigma, u, u2)
+                    full, last, _ = evolve(j, sigma, u, u2)
                     if not full:
                         continue
                     if final:
@@ -477,10 +467,8 @@ def _classify(model: UnitIntervalModel, a: int, b: int) -> CutSegment:
         tag = "guarded_right"
     elif left == "pendant" and right == "pendant":
         tag = "two_pendants"
-    elif (left, right) in {("cut", "pendant"), ("pendant", "cut"), ("cut", "cut")}:
-        tag = "guarded_both"
     else:
-        raise RuntimeError(f"no spreading-time case applies to segment {a}..{b}")
+        tag = "guarded_both"
     return CutSegment(a, b, tag, _segment_time(model, a, b, left, right))
 
 
@@ -498,7 +486,7 @@ def cut_segments(model: UnitIntervalModel) -> tuple[CutSegment, ...]:
     n = g.n
     if n < 3:
         raise ValueError("segment analysis needs at least three vertices")
-    if not g.is_connected():
+    if not model.connected:
         raise ValueError("segment analysis needs a connected graph")
     cuts = [
         p
@@ -512,9 +500,8 @@ def cut_segments(model: UnitIntervalModel) -> tuple[CutSegment, ...]:
 
 def percolation_time(model: UnitIntervalModel) -> int:
     """Worst-case number of rounds to infect a connected unit interval graph."""
-    g = model.graph
-    if not g.is_connected():
+    if not model.connected:
         raise ValueError("percolation time is defined for connected graphs")
-    if g.n <= 2:
+    if model.graph.n <= 2:
         return 0
     return max(seg.time for seg in cut_segments(model))

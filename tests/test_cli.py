@@ -121,6 +121,9 @@ def test_analyze_2connected_uig_computes_split_diameter_once(capsys, tmp_path, m
     g, order = random_biconnected_chain(random.Random(5), 30)
     f = tmp_path / "chain.txt"
     f.write_text(serialize_document(document_for(g, order=order)))
+    cg, corder = random_clique_chain(random.Random(2), 12)
+    cf = tmp_path / "cuts.txt"
+    cf.write_text(serialize_document(document_for(cg, order=corder)))
     original = unit_interval.percolation_time_biconnected
     calls = []
 
@@ -135,18 +138,32 @@ def test_analyze_2connected_uig_computes_split_diameter_once(capsys, tmp_path, m
         searches.append(graph)
         return graph_blocks(graph)
 
-    # The 2-connectivity guards of the split read the model's order; only
-    # the split_diameter line's is_biconnected searches for blocks.
+    original_connected = p3conv.graph.Graph.is_connected
+    bfs = []
+
+    def counted_connected(graph):
+        bfs.append(graph)
+        return original_connected(graph)
+
+    # Connectivity, 2-connectivity and blocks are read off the model's
+    # order: an ordered document needs no graph search at all.
     monkeypatch.setattr(p3conv.graph, "blocks", counted_blocks)
-    monkeypatch.setattr(unit_interval, "blocks", counted_blocks)
+    monkeypatch.setattr(p3conv.graph.Graph, "is_connected", counted_connected)
     rc, out, _ = run(capsys, "analyze", str(f))
     assert rc == 0
     assert len(calls) == 1
-    assert len(searches) == 1
     lines = dict(line.split(": ", 1) for line in out.splitlines())
     assert lines["segments"].startswith("0..29 two_anchors t=")
     assert lines["split_diameter"] == lines["percolation_time"]
     assert int(lines["split_diameter"]) == original(unit_interval.build_model(g, order))
+    rc, out, _ = run(capsys, "analyze", str(cf))
+    assert rc == 0
+    lines = dict(line.split(": ", 1) for line in out.splitlines())
+    assert lines["segments"] == "0..1 edge t=1 1..11 guarded_both t=6"
+    assert "split_diameter" not in lines
+    assert len(calls) == 1
+    assert len(searches) == 0
+    assert len(bfs) == 0
 
 
 def test_analyze_other_skips_pattern_search_without_oracle(capsys, c4_file, monkeypatch):

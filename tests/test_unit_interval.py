@@ -192,6 +192,8 @@ def test_split_requires_biconnected():
         graphs += [chain_graph(n, cliques) for cliques in interval_systems(n)]
     for g in graphs:
         m = build_model(g, range(g.n))
+        assert m.connected == g.is_connected()
+        assert m.biconnected == is_biconnected(g)
         if is_biconnected(g):
             split_singular_vertices(m)
         else:
@@ -234,6 +236,22 @@ def test_split_matches_one_position_at_a_time():
         assert singular_positions(split) == ()
         most = max(most, len(singular_positions(m)))
     assert most >= 5
+
+
+def test_split_diameter_walk_matches_split_model():
+    # The walk over the shifted clique intervals against the built split
+    # graph's own greedy walk.
+    models = []
+    for n in range(3, 11):
+        for cliques in interval_systems(n):
+            g = chain_graph(n, cliques)
+            if is_biconnected(g):
+                models.append(build_model(g, range(n)))
+    rng = random.Random(DEFAULT_SEED)
+    for n in (3, 10, 50, 200, 1000, 2000):
+        models.append(build_model(*random_biconnected_chain(rng, n)))
+    for m in models:
+        assert percolation_time_biconnected(m) == diameter_endpoints(split_singular_vertices(m))
 
 
 def test_biconnected_time_via_split_diameter():
@@ -355,6 +373,23 @@ def test_exhaustive_layouts_up_to_eight_positions():
             m = build_model(g, tuple(range(n)))
             assert m.cliques == tuple(cliques)
             assert percolation_time(m) == percolation_time_bruteforce(g)
+
+
+def test_cut_segments_mirror_under_reversal():
+    mirror = {"guarded_left": "guarded_right", "guarded_right": "guarded_left"}
+    graphs = [
+        (chain_graph(n, cliques), range(n))
+        for n in range(3, 9)
+        for cliques in interval_systems(n)
+    ]
+    rng = random.Random(DEFAULT_SEED)
+    graphs += [random_clique_chain(rng, rng.randint(10, 30)) for _ in range(60)]
+    for g, order in graphs:
+        n = g.n
+        rows = [(s.lo, s.hi, s.case_tag, s.time) for s in cut_segments(build_model(g, order))]
+        flipped = cut_segments(build_model(g, tuple(order)[::-1]))
+        assert [(n - 1 - s.hi, n - 1 - s.lo, mirror.get(s.case_tag, s.case_tag), s.time)
+                for s in reversed(flipped)] == rows
 
 
 def test_biconnected_layouts_on_nine_positions_match_oracle():
