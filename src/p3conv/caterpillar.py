@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import inf
 from typing import Optional, Sequence
 
 from .graph import Graph
@@ -211,7 +212,15 @@ class PercolationSequence:
 
 
 def percolation_sequence(seq: Sequence[int]) -> PercolationSequence:
-    """Worst-case infection round of every spine position, from the degree profile."""
+    """Worst-case infection round of every spine position, from the degree profile.
+
+    Capped-1 positions take round 0 and capped-4 ones round 1.  A run of
+    capped 3s is fed through a flank of capped degree 1 after 1 round and
+    through one of degree 4 after 2; a position a and b steps from the run's
+    ends takes the earlier feed, or max(a, b) + 1 when no flank feeds the
+    run (the worst seed then sits at the far side).  A capped-2 position
+    takes 1 + the latest time of its neighbors of capped degree above 2.
+    """
     s = tuple(seq)
     k = len(s)
     if k == 0:
@@ -222,68 +231,29 @@ def percolation_sequence(seq: Sequence[int]) -> PercolationSequence:
         if x not in (2, 3, 4):
             raise ValueError(f"interior profile value {x} outside 2..4")
 
-    run_ids = [1]
-    for i in range(1, k):
-        same_run = s[i] == 3 and s[i - 1] == 3
-        run_ids.append(run_ids[-1] if same_run else run_ids[-1] + 1)
-
-    run_starts = [0] * k
-    run_ends = [0] * k
-    i = 0
-    while i < k:
-        j = i
-        while j + 1 < k and run_ids[j + 1] == run_ids[i]:
-            j += 1
-        for p in range(i, j + 1):
-            run_starts[p] = i
-            run_ends[p] = j
-        i = j + 1
-
-    times: list[int] = [0] * k
-    for i in range(k):
-        if s[i] == 1:
-            times[i] = 0
-        elif s[i] == 4:
-            times[i] = 1
-        elif s[i] == 3:
-            lo, hi = run_starts[i], run_ends[i]
-            before, after = s[lo - 1], s[hi + 1]
-            a, b = i - lo, hi - i
-            if before == 1 and after == 1:
-                t = min(a, b) + 1
-            elif before == 2 and after == 2:
-                # With degree-2 flanks the infection cannot enter the run
-                # until a seed touches it, and the worst seed sits at the far
-                # side, so this is a max, not a min like the 1,1 case.
-                t = max(a, b) + 1
-            elif before == 1 and after == 2:
-                t = a + 1
-            elif before == 2 and after == 1:
-                t = b + 1
-            elif before == 1 and after == 4:
-                t = min(a + 1, b + 2)
-            elif before == 4 and after == 1:
-                t = min(a + 2, b + 1)
-            elif before == 4 and after == 2:
-                t = a + 2
-            elif before == 2 and after == 4:
-                t = b + 2
-            else:
-                t = min(a, b) + 2
-            times[i] = t
-    for i in range(k):
-        if s[i] != 2:
-            continue
-        left_small = s[i - 1] in (1, 2)
-        right_small = s[i + 1] in (1, 2)
-        if left_small and right_small:
-            times[i] = 1
-        elif left_small:
-            times[i] = times[i + 1] + 1
-        elif right_small:
-            times[i] = times[i - 1] + 1
+    feed = {1: 1, 4: 2}
+    run_ids, run_starts, ends = [], [], []
+    for i, d in enumerate(s):
+        if d == 3 == s[i - 1]:
+            ends[-1] = i
         else:
-            times[i] = max(times[i - 1], times[i + 1]) + 1
+            ends.append(i)
+            lo = i
+        run_ids.append(len(ends))
+        run_starts.append(lo)
+    run_ends = [ends[r - 1] for r in run_ids]
+    times = [1 if d == 4 else 0 for d in s]
+    for i, d in enumerate(s):
+        if d == 3:
+            lo, hi = run_starts[i], run_ends[i]
+            left, right = feed.get(s[lo - 1], inf), feed.get(s[hi + 1], inf)
+            if left == right == inf:
+                times[i] = max(i - lo, hi - i) + 1
+            else:
+                times[i] = min(i - lo + left, hi - i + right)
+    for i in range(1, k - 1):
+        if s[i] == 2:
+            times[i] = max(times[i - 1] if s[i - 1] > 2 else 0, times[i + 1] if s[i + 1] > 2 else 0) + 1
 
     return PercolationSequence(
         run_ids=tuple(run_ids),

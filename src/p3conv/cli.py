@@ -36,7 +36,6 @@ from .generators import (
 )
 from .graphio import (
     GraphDocument,
-    ParseError,
     document_for,
     parse_document,
     serialize_documents,
@@ -68,6 +67,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# Each generate kind with its default --size, a spine length or vertex count.
+_GENERATE_SIZES = {
+    "caterpillar-exhaustive": 5,
+    "caterpillar-random": 14,
+    "uig-random": 8,
+    "uig-2connected-random": 8,
+    "all-connected": 5,
+}
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     p = _Parser(
@@ -87,16 +96,7 @@ def _build_parser() -> _Parser:
     a.set_defaults(func=_cmd_analyze)
 
     g = sub.add_parser("generate", help="write graph documents to stdout")
-    g.add_argument(
-        "kind",
-        choices=(
-            "caterpillar-exhaustive",
-            "caterpillar-random",
-            "uig-random",
-            "uig-2connected-random",
-            "all-connected",
-        ),
-    )
+    g.add_argument("kind", choices=tuple(_GENERATE_SIZES))
     g.add_argument("--size", type=int, default=None, help="spine length or vertex count, by kind")
     g.add_argument("--count", type=int, default=10, help="how many graphs, for random kinds")
     g.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -133,7 +133,10 @@ def _print_payload(payload: dict, fmt: str) -> None:
 
 def _fmt(value) -> str:
     if isinstance(value, (list, tuple)):
-        return " ".join(_fmt(v) for v in value)
+        # Payload lists hold scalars, or pairs such as the clique intervals.
+        if value and isinstance(value[0], (list, tuple)):
+            value = [x for pair in value for x in pair]
+        return " ".join(map(str, value))
     if isinstance(value, bool):
         return "yes" if value else "no"
     return str(value)
@@ -207,8 +210,7 @@ def _cmd_analyze(args) -> int:
 
     exit_code = 0
     if args.oracle:
-        search_cap = args.max_oracle_n or DEFAULT_HULL_CAP
-        time_cap = args.max_oracle_n or DEFAULT_TIME_CAP
+        search_cap, time_cap = _oracle_caps(args)
         oracle_values = {
             "geodetic_number": geodetic_number_bruteforce(g, search_cap),
             "hull_number": hull_number_bruteforce(g, search_cap),
@@ -233,30 +235,26 @@ def _cmd_analyze(args) -> int:
 def _cmd_generate(args) -> int:
     rng = random.Random(args.seed)
     kind = args.kind
+    size = _GENERATE_SIZES[kind] if args.size is None else args.size
     docs: list[GraphDocument] = []
     if kind == "caterpillar-exhaustive":
-        size = args.size if args.size is not None else 5
         if size < 2:
             raise ValueError("caterpillar-exhaustive needs --size of at least 2")
         for rds in spine_sequences(size):
             tag = "".join(str(d) for d in rds)
             docs.append(document_for(realize_caterpillar(rds), name=f"caterpillar-{tag}"))
     elif kind == "caterpillar-random":
-        size = args.size if args.size is not None else 14
         for i in range(args.count):
             docs.append(document_for(random_caterpillar(rng, size), name=f"caterpillar-random-{i}"))
     elif kind == "uig-random":
-        size = args.size if args.size is not None else 8
         for i in range(args.count):
             g, order = random_unit_interval_graph(rng, size)
             docs.append(document_for(g, order=order, name=f"uig-random-{i}"))
     elif kind == "uig-2connected-random":
-        size = args.size if args.size is not None else 8
         for i in range(args.count):
             g, order = random_biconnected_chain(rng, size)
             docs.append(document_for(g, order=order, name=f"uig-2connected-{i}"))
     elif kind == "all-connected":
-        size = args.size if args.size is not None else 5
         if not 1 <= size <= 7:
             raise ValueError("all-connected enumeration supports sizes 1 through 7")
         for i, g in enumerate(connected_graphs(size)):
@@ -265,26 +263,30 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _oracle_caps(args) -> tuple[int, int]:
+    """The subset-search and time caps; --max-oracle-n, when given, sets both."""
+    cap = args.max_oracle_n
+    return (DEFAULT_HULL_CAP, DEFAULT_TIME_CAP) if cap is None else (cap, cap)
+
+
 def _cmd_crossval(args) -> int:
-    seed = args.seed
-    caps = {}
-    if args.max_oracle_n is not None:
-        caps = {"search_cap": args.max_oracle_n, "time_cap": args.max_oracle_n}
+    seed, max_n = args.seed, args.max_n
+    least = {"caterpillar": 2, "uig": 3}.get(args.suite)
+    if least is not None and max_n is not None and max_n < least:
+        raise ValueError(f"crossval {args.suite} needs --max-n of at least {least}")
+    search_cap, time_cap = _oracle_caps(args)
     if args.suite == "caterpillar":
         report = caterpillar_suite(
             seed=seed,
-            max_n=args.max_n,
-            random_max_n=min(14, args.max_n) if args.max_n else 14,
-            **caps,
+            max_n=max_n,
+            random_max_n=14 if max_n is None else min(14, max_n),
+            search_cap=search_cap,
+            time_cap=time_cap,
         )
     elif args.suite == "uig":
-        report = uig_suite(
-            seed=seed,
-            max_n=args.max_n if args.max_n else 10,
-            **({"time_cap": args.max_oracle_n} if args.max_oracle_n else {}),
-        )
+        report = uig_suite(seed=seed, max_n=10 if max_n is None else max_n, time_cap=time_cap)
     elif args.suite == "property-p":
-        report = idempotence_suite(max_n=args.max_n if args.max_n else 6, seed=seed)
+        report = idempotence_suite(max_n=6 if max_n is None else max_n, seed=seed)
     else:
         report = full_suite(seed=seed)
 
@@ -327,16 +329,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

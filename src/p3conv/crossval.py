@@ -119,6 +119,21 @@ def merge_reports(*reports: ValidationReport) -> ValidationReport:
     return ValidationReport(tuple(rows), tuple(skipped))
 
 
+def _check(rows, skipped, instance, parameter, n, cap, formula, oracle):
+    """Time formula() against oracle() as one row, or skip it when n > cap.
+
+    Returns the oracle value, or None when the check was skipped.
+    """
+    if n > cap:
+        skipped.append(f"{instance}/{parameter}")
+        return None
+    t0 = perf_counter()
+    fv = formula()
+    ov = oracle()
+    rows.append(CheckRow(instance, parameter, fv, ov, perf_counter() - t0))
+    return ov
+
+
 def _sorted_report(rows, skipped) -> ValidationReport:
     rows.sort(key=lambda r: (r.instance, r.parameter))
     return ValidationReport(tuple(rows), tuple(skipped))
@@ -143,26 +158,11 @@ def caterpillar_suite(
     """
     rows: list[CheckRow] = []
     skipped: list[str] = []
-
-    def check(instance, g, struct):
-        plan = [
-            ("geodetic_number", geodetic_number, geodetic_number_bruteforce, search_cap),
-            ("hull_number", hull_number, hull_number_bruteforce, search_cap),
-            (
-                "percolation_time",
-                caterpillar_percolation_time,
-                percolation_time_bruteforce,
-                time_cap,
-            ),
-        ]
-        for param, ffn, ofn, cap in plan:
-            if g.n > cap:
-                skipped.append(f"{instance}/{param}")
-                continue
-            t0 = perf_counter()
-            fv = ffn(struct)
-            ov = ofn(g, cap)
-            rows.append(CheckRow(instance, param, fv, ov, perf_counter() - t0))
+    plan = [
+        ("geodetic_number", geodetic_number, geodetic_number_bruteforce, search_cap),
+        ("hull_number", hull_number, hull_number_bruteforce, search_cap),
+        ("percolation_time", caterpillar_percolation_time, percolation_time_bruteforce, time_cap),
+    ]
 
     def handle(instance, g):
         if max_n is not None and g.n > max_n:
@@ -170,7 +170,9 @@ def caterpillar_suite(
         struct = recognize_caterpillar(g)
         if struct is None:
             raise AssertionError(f"{instance}: generated graph is not a caterpillar")
-        check(instance, g, struct)
+        for param, ffn, ofn, cap in plan:
+            _check(rows, skipped, instance, param, g.n, cap,
+                   lambda: ffn(struct), lambda: ofn(g, cap))
 
     for rds in spine_sequences(spine_max):
         tag = "".join(str(d) for d in rds)
@@ -197,7 +199,8 @@ def uig_suite(
     One third is sampled from random points on the line, one third from
     loosely overlapping clique chains (these carry cut vertices), one third
     from 2-connected chains (these carry singular positions).  2-connected
-    instances get an extra row for the diameter shortcut.
+    instances get an extra row for the diameter shortcut, checked against
+    the same oracle value.
     """
     rows: list[CheckRow] = []
     skipped: list[str] = []
@@ -214,27 +217,12 @@ def uig_suite(
             instance = f"{prefix}-{i:04d}"
             g, order = make()
             model = build_model(g, order)
-            if g.n > time_cap:
-                skipped.append(f"{instance}/percolation_time")
-                continue
-            t0 = perf_counter()
-            fv = unit_interval_percolation_time(model)
-            ov = percolation_time_bruteforce(g, time_cap)
-            rows.append(
-                CheckRow(instance, "percolation_time", fv, ov, perf_counter() - t0)
-            )
-            if model.biconnected:
-                t0 = perf_counter()
-                bv = percolation_time_biconnected(model)
-                rows.append(
-                    CheckRow(
-                        instance,
-                        "percolation_time_biconnected",
-                        bv,
-                        ov,
-                        perf_counter() - t0,
-                    )
-                )
+            ov = _check(rows, skipped, instance, "percolation_time", g.n, time_cap,
+                        lambda: unit_interval_percolation_time(model),
+                        lambda: percolation_time_bruteforce(g, time_cap))
+            if ov is not None and model.biconnected:
+                _check(rows, skipped, instance, "percolation_time_biconnected", g.n, time_cap,
+                       lambda: percolation_time_biconnected(model), lambda: ov)
 
     return _sorted_report(rows, skipped)
 
@@ -255,16 +243,9 @@ def idempotence_suite(
     skipped: list[str] = []
 
     for g in idempotence_corpus(max_n, seed, samples_per_size):
-        instance = f"g6-{to_graph6(g)}"
-        if g.n > property_cap:
-            skipped.append(f"{instance}/interval_idempotent")
-            continue
-        t0 = perf_counter()
-        fv = int(interval_idempotent_by_patterns(g))
-        ov = int(interval_idempotent_bruteforce(g, property_cap))
-        rows.append(
-            CheckRow(instance, "interval_idempotent", fv, ov, perf_counter() - t0)
-        )
+        _check(rows, skipped, f"g6-{to_graph6(g)}", "interval_idempotent", g.n, property_cap,
+               lambda: int(interval_idempotent_by_patterns(g)),
+               lambda: int(interval_idempotent_bruteforce(g, property_cap)))
 
     return _sorted_report(rows, skipped)
 

@@ -11,6 +11,7 @@ from itertools import combinations, permutations, product
 from typing import Iterator, Optional
 
 from .graph import Graph
+from .unit_interval import _clique_edges
 
 DEFAULT_SEED = 1729
 
@@ -193,17 +194,24 @@ def random_unit_interval_graph(
         return Graph(n, mapped), tuple(perm)
 
 
-def _chain_graph(
-    rng: random.Random, n: int, cliques: list[tuple[int, int]]
+def _random_chain(
+    rng: random.Random, n: int, overlap: int
 ) -> tuple[Graph, tuple[int, ...]]:
-    edges = set()
-    for a, b in cliques:
-        for i in range(a, b + 1):
-            for j in range(i + 1, b + 1):
-                edges.add((i, j))
+    """Cliques of at most five positions covering 0..n-1, labels shuffled.
+
+    Consecutive cliques share at least ``overlap`` positions.
+    """
+    b = rng.randint(overlap, min(overlap + 2, n - 1))
+    cliques = [(0, b)]
+    a = 0
+    while b < n - 1:
+        a2 = rng.randint(max(a + 1, b - 3), b + 1 - overlap)
+        b2 = rng.randint(b + 1, min(n - 1, a2 + 4))
+        cliques.append((a2, b2))
+        a, b = a2, b2
     perm = list(range(n))
     rng.shuffle(perm)
-    mapped = [(perm[i], perm[j]) for i, j in edges]
+    mapped = [(perm[i], perm[j]) for i, j in _clique_edges(cliques)]
     return Graph(n, mapped), tuple(perm)
 
 
@@ -217,15 +225,7 @@ def random_clique_chain(
     """
     if n < 2:
         raise ValueError("need at least two vertices")
-    b = rng.randint(1, min(3, n - 1))
-    cliques = [(0, b)]
-    a = 0
-    while b < n - 1:
-        a2 = rng.randint(max(a + 1, b - 3), min(b, n - 2))
-        b2 = rng.randint(b + 1, min(n - 1, a2 + 4))
-        cliques.append((a2, b2))
-        a, b = a2, b2
-    return _chain_graph(rng, n, cliques)
+    return _random_chain(rng, n, 1)
 
 
 def random_biconnected_chain(
@@ -239,12 +239,4 @@ def random_biconnected_chain(
     """
     if n < 3:
         raise ValueError("need at least three vertices")
-    b = rng.randint(2, min(4, n - 1))
-    cliques = [(0, b)]
-    a = 0
-    while b < n - 1:
-        a2 = rng.randint(max(a + 1, b - 3), min(b - 1, n - 3))
-        b2 = rng.randint(b + 1, min(n - 1, a2 + 4))
-        cliques.append((a2, b2))
-        a, b = a2, b2
-    return _chain_graph(rng, n, cliques)
+    return _random_chain(rng, n, 2)

@@ -1,12 +1,24 @@
 """Interval idempotence and the small induced subgraphs that break it.
 
-A graph has an idempotent interval operator when spreading once from any
-vertex set already reaches a fixpoint: no vertex ever needs two rounds.  Four
-small graphs always break this, so their absence as induced subgraphs is a
-cheap structural predictor.  The predictor is cross-checked against the
-exhaustive oracle here; any graph where the two disagree is reported rather
-than swallowed, since a pattern-free graph that still fails the direct check
-would mean the pattern list is incomplete.
+I(S) is S plus every vertex with two neighbors in S, and a graph is interval
+idempotent when I(I(S)) = I(S) for every vertex set S.
+
+Theorem: idempotence is hereditary, and every non-idempotent graph has a
+connected non-idempotent induced subgraph on at most seven vertices.  Proof:
+if H is an induced subgraph of G and S a set of its vertices, I_G(S) meets
+H in I_H(S), so a witness w in I_H(I_H(S)) but not in I_H(S) has two
+neighbors in I_G(S) and is not in I_G(S).  Conversely, let w be in I(I(S))
+but not in I(S), with neighbors x, y in I(S).  Keep w, x, y and two
+S-neighbors of each of x, y outside S: at most seven vertices, within two
+steps of w, on which S still puts x and y into the interval but not w, which
+has at most one neighbor in S and is not in S.
+
+So every minimal non-idempotent graph is connected with at most seven
+vertices, and the exhaustive check up to seven vertices finds all of them:
+the diamond, paw, chair and K_{2,3} below, and the banner, a 4-cycle with a
+pendant vertex (graph6 ``D]_``).  The predictor uses the four patterns, so
+the crosscheck reports each pattern-free graph with a banner as a reverse
+finding.
 """
 
 from __future__ import annotations

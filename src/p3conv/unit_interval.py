@@ -168,6 +168,11 @@ def singular_positions(model: UnitIntervalModel) -> tuple[int, ...]:
     return tuple(_singulars(model.cliques))
 
 
+def _clique_edges(cliques: Sequence[tuple[int, int]]) -> set[tuple[int, int]]:
+    """Position pairs (i, j), i < j, that share one of the given clique intervals."""
+    return {e for a, b in cliques for e in combinations(range(a, b + 1), 2)}
+
+
 def _split_cliques(model: UnitIntervalModel) -> list[tuple[int, int]]:
     """The cliques of ``split_singular_vertices(model)``, without its graph."""
     if not model.biconnected:
@@ -189,12 +194,7 @@ def split_singular_vertices(model: UnitIntervalModel) -> UnitIntervalModel:
     """
     cliques = _split_cliques(model)
     n = cliques[-1][1] + 1
-    edges = set()
-    for a, b in cliques:
-        for i in range(a, b + 1):
-            for j in range(i + 1, b + 1):
-                edges.add((i, j))
-    return UnitIntervalModel(Graph(n, sorted(edges)), range(n))
+    return UnitIntervalModel(Graph(n, sorted(_clique_edges(cliques))), range(n))
 
 
 def _walk(cliques: Sequence[tuple[int, int]]) -> int:
@@ -451,24 +451,26 @@ def _segment_time(model: UnitIntervalModel, a: int, b: int, left: str, right: st
     return answer
 
 
+# Case tags by (left end, right end) kind; every other pairing is guarded_both.
+_CASE_TAGS = {
+    ("anchor", "anchor"): "two_anchors",
+    ("pendant", "anchor"): "guarded_left",
+    ("cut", "anchor"): "guarded_left",
+    ("anchor", "pendant"): "guarded_right",
+    ("anchor", "cut"): "guarded_right",
+    ("pendant", "pendant"): "two_pendants",
+}
+
+
 def _classify(model: UnitIntervalModel, a: int, b: int) -> CutSegment:
     if b - a == 1:
         return CutSegment(a, b, "edge", 1)
-    n = model.graph.n
-    deg_a = model.graph.degree(model.order[a])
-    deg_b = model.graph.degree(model.order[b])
-    left = "anchor" if (a == 0 and deg_a >= 2) else ("pendant" if a == 0 else "cut")
-    right = "anchor" if (b == n - 1 and deg_b >= 2) else ("pendant" if b == n - 1 else "cut")
-    if left == "anchor" and right == "anchor":
-        tag = "two_anchors"
-    elif right == "anchor":
-        tag = "guarded_left"
-    elif left == "anchor":
-        tag = "guarded_right"
-    elif left == "pendant" and right == "pendant":
-        tag = "two_pendants"
-    else:
-        tag = "guarded_both"
+    rs = model.right
+    n = len(rs)
+    # An end of the order is an anchor when its vertex has a second neighbor.
+    left = "cut" if a > 0 else "anchor" if rs[0] >= 2 else "pendant"
+    right = "cut" if b < n - 1 else "anchor" if rs[n - 3] == n - 1 else "pendant"
+    tag = _CASE_TAGS.get((left, right), "guarded_both")
     return CutSegment(a, b, tag, _segment_time(model, a, b, left, right))
 
 
@@ -482,17 +484,17 @@ def cut_segments(model: UnitIntervalModel) -> tuple[CutSegment, ...]:
     diameter; every other segment is timed by the cut-time search of
     ``_segment_time``.
     """
-    g = model.graph
-    n = g.n
+    rs = model.right
+    n = len(rs)
     if n < 3:
         raise ValueError("segment analysis needs at least three vertices")
     if not model.connected:
         raise ValueError("segment analysis needs a connected graph")
+    # p's neighbors are exactly p - 1 and p + 1, and those two are not adjacent.
     cuts = [
         p
         for p in range(1, n - 1)
-        if g.degree(model.order[p]) == 2
-        and not g.has_edge(model.order[p - 1], model.order[p + 1])
+        if rs[p - 1] == p and rs[p] == p + 1 and (p == 1 or rs[p - 2] < p)
     ]
     bounds = [0, *cuts, n - 1]
     return tuple(_classify(model, a, b) for a, b in zip(bounds, bounds[1:]))

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -228,3 +229,70 @@ def test_recognize_rejects_disconnected_graph_with_tree_edge_count():
     g = Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
     assert recognize_caterpillar(g) is None
     assert two_search_recognizer(g) is None
+
+
+def nine_branch_spine_times(s):
+    """Spine times as first written: one branch per pair of flanking degrees."""
+    k = len(s)
+    run_ids = [1]
+    for i in range(1, k):
+        run_ids.append(run_ids[-1] if s[i] == 3 and s[i - 1] == 3 else run_ids[-1] + 1)
+    run_starts, run_ends = [0] * k, [0] * k
+    i = 0
+    while i < k:
+        j = i
+        while j + 1 < k and run_ids[j + 1] == run_ids[i]:
+            j += 1
+        for p in range(i, j + 1):
+            run_starts[p], run_ends[p] = i, j
+        i = j + 1
+    times = [0] * k
+    for i in range(k):
+        if s[i] == 4:
+            times[i] = 1
+        elif s[i] == 3:
+            lo, hi = run_starts[i], run_ends[i]
+            before, after = s[lo - 1], s[hi + 1]
+            a, b = i - lo, hi - i
+            if before == 1 and after == 1:
+                times[i] = min(a, b) + 1
+            elif before == 2 and after == 2:
+                times[i] = max(a, b) + 1
+            elif before == 1 and after == 2:
+                times[i] = a + 1
+            elif before == 2 and after == 1:
+                times[i] = b + 1
+            elif before == 1 and after == 4:
+                times[i] = min(a + 1, b + 2)
+            elif before == 4 and after == 1:
+                times[i] = min(a + 2, b + 1)
+            elif before == 4 and after == 2:
+                times[i] = a + 2
+            elif before == 2 and after == 4:
+                times[i] = b + 2
+            else:
+                times[i] = min(a, b) + 2
+    for i in range(k):
+        if s[i] != 2:
+            continue
+        left_small, right_small = s[i - 1] in (1, 2), s[i + 1] in (1, 2)
+        if left_small and right_small:
+            times[i] = 1
+        elif left_small:
+            times[i] = times[i + 1] + 1
+        elif right_small:
+            times[i] = times[i - 1] + 1
+        else:
+            times[i] = max(times[i - 1], times[i + 1]) + 1
+    return tuple(run_ids), tuple(run_starts), tuple(run_ends), tuple(times)
+
+
+def test_spine_times_match_nine_branch_reference():
+    checked = 0
+    for k in range(2, 11):
+        for interior in itertools.product((2, 3, 4), repeat=k - 2):
+            s = (1, *interior, 1)
+            p = percolation_sequence(s)
+            assert (p.run_ids, p.run_starts, p.run_ends, p.times) == nine_branch_spine_times(s), s
+            checked += 1
+    assert checked == (3 ** 9 - 1) // 2

@@ -323,3 +323,46 @@ def test_usage_error_after_a_successful_call(capsys, p4_file):
     assert "invalid choice" in capsys.readouterr().err
     rc, out, _ = run(capsys, "analyze", p4_file)
     assert rc == 0 and "class: caterpillar" in out
+
+
+@pytest.mark.parametrize(
+    "argv, rc, tail, err",
+    [
+        # 0 is a cap like any other: every check is skipped in every suite.
+        (
+            ["crossval", "uig", "--max-oracle-n", "0"],
+            0,
+            "# summary: rows=0 agreeing=0 disagreeing=0 skipped=300\n",
+            "warning: 300 checks skipped beyond the oracle cap; raise --max-oracle-n to include them\n",
+        ),
+        (
+            ["crossval", "caterpillar", "--max-n", "4", "--max-oracle-n", "0"],
+            0,
+            "# summary: rows=0 agreeing=0 disagreeing=0 skipped=1512\n",
+            "warning: 1512 checks skipped beyond the oracle cap; raise --max-oracle-n to include them\n",
+        ),
+        (["crossval", "property-p", "--max-n", "0"], 0, "# summary: rows=0 agreeing=0 disagreeing=0 skipped=0\n", ""),
+        (["crossval", "caterpillar", "--max-n", "0"], 1, "", "error: crossval caterpillar needs --max-n of at least 2\n"),
+        (["crossval", "caterpillar", "--max-n", "1"], 1, "", "error: crossval caterpillar needs --max-n of at least 2\n"),
+        (["crossval", "uig", "--max-n", "2"], 1, "", "error: crossval uig needs --max-n of at least 3\n"),
+    ],
+    ids=["uig-cap-0", "caterpillar-cap-0", "property-p-max-n-0",
+         "caterpillar-max-n-0", "caterpillar-max-n-1", "uig-max-n-2"],
+)
+def test_crossval_size_options_take_zero_as_a_value(capsys, argv, rc, tail, err):
+    got_rc, out, got_err = run(capsys, *argv)
+    assert (got_rc, got_err) == (rc, err)
+    assert out.endswith(tail)
+
+
+def test_analyze_oracle_cap_of_zero_is_a_cap(capsys, p4_file):
+    rc, out, err = run(capsys, "analyze", p4_file, "--oracle", "--max-oracle-n", "0")
+    assert (rc, out) == (3, "")
+    assert err == "error: geodetic number search enumerates subsets of 4 vertices; cap is 0\n"
+
+
+def test_parse_error_exits_one_with_its_line(capsys, tmp_path):
+    f = tmp_path / "bad.txt"
+    f.write_text("3\n0 1\n1 5\n")
+    rc, out, err = run(capsys, "analyze", str(f))
+    assert (rc, out, err) == (1, "", "error: line 3: edge 1 5 outside vertex range 0..2\n")

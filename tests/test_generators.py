@@ -118,3 +118,54 @@ def test_generators_are_deterministic():
     g1, o1 = random_unit_interval_graph(random.Random(42), 9)
     g2, o2 = random_unit_interval_graph(random.Random(42), 9)
     assert g1.edges() == g2.edges() and o1 == o2
+
+
+def reference_chain_graph(rng, n, cliques):
+    edges = set()
+    for a, b in cliques:
+        for i in range(a, b + 1):
+            for j in range(i + 1, b + 1):
+                edges.add((i, j))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    mapped = [(perm[i], perm[j]) for i, j in edges]
+    return Graph(n, mapped), tuple(perm)
+
+
+def reference_clique_chain(rng, n):
+    """random_clique_chain as first written, with its own loop."""
+    b = rng.randint(1, min(3, n - 1))
+    cliques = [(0, b)]
+    a = 0
+    while b < n - 1:
+        a2 = rng.randint(max(a + 1, b - 3), min(b, n - 2))
+        b2 = rng.randint(b + 1, min(n - 1, a2 + 4))
+        cliques.append((a2, b2))
+        a, b = a2, b2
+    return reference_chain_graph(rng, n, cliques)
+
+
+def reference_biconnected_chain(rng, n):
+    """random_biconnected_chain as first written, with its own loop."""
+    b = rng.randint(2, min(4, n - 1))
+    cliques = [(0, b)]
+    a = 0
+    while b < n - 1:
+        a2 = rng.randint(max(a + 1, b - 3), min(b - 1, n - 3))
+        b2 = rng.randint(b + 1, min(n - 1, a2 + 4))
+        cliques.append((a2, b2))
+        a, b = a2, b2
+    return reference_chain_graph(rng, n, cliques)
+
+
+def test_chain_generators_match_reference_bodies():
+    pairs = (
+        (random_clique_chain, reference_clique_chain),
+        (random_biconnected_chain, reference_biconnected_chain),
+    )
+    for make, reference in pairs:
+        for seed in range(40):
+            for n in range(3, 31):
+                rng, ref = random.Random(seed), random.Random(seed)
+                assert make(rng, n) == reference(ref, n), (make.__name__, seed, n)
+                assert rng.getstate() == ref.getstate()

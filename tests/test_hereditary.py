@@ -1,7 +1,7 @@
 import pytest
 
 from p3conv.generators import connected_graphs
-from p3conv.graph import Graph
+from p3conv.graph import Graph, contains_induced
 from p3conv.hereditary import (
     FORBIDDEN_PATTERNS,
     check_hg_equality,
@@ -78,14 +78,22 @@ def test_crosscheck_at_five_vertices():
     assert finding.pattern_free and not finding.idempotent
 
 
+# The fifth minimal non-idempotent graph: the 4-cycle 0-2-1-3 with a pendant
+# vertex 4 on vertex 0, graph6 D]_.
+BANNER = Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3)])
+
+
 def test_crosscheck_at_six_vertices():
     rep = crosscheck_interval_idempotence(max_n=6)
     assert rep.forward_violations == ()
     assert {d.graph6 for d in rep.reverse_findings} == {"D]_", "EFj?", "E]Q?"}
+    assert find_forbidden_patterns(BANNER) == ()
+    assert not interval_idempotent_bruteforce(BANNER)
     for d in rep.reverse_findings:
         g = Graph(d.vertex_count, d.edges)
         assert find_forbidden_patterns(g) == ()
         assert not interval_idempotent_bruteforce(g)
+        assert contains_induced(g, BANNER)
 
 
 def test_crosscheck_rejects_oversized_bound():

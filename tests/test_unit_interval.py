@@ -6,6 +6,7 @@ to eight positions and compares against the oracle directly.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -19,7 +20,7 @@ from p3conv.generators import (
     shuffle_labels,
 )
 from p3conv.graph import Graph, contains_induced, is_biconnected
-from p3conv.oracle import percolation_time_bruteforce
+from p3conv.oracle import percolate, percolation_time_bruteforce
 from p3conv.unit_interval import (
     build_model,
     cut_segments,
@@ -314,6 +315,44 @@ def test_segment_classification(cliques, rows, total):
     assert [(s.lo, s.hi, s.case_tag, s.time) for s in cut_segments(m)] == rows
     assert percolation_time(m) == total
     assert percolation_time_bruteforce(g) == total
+
+
+def test_cut_segments_read_the_order_not_the_graph(monkeypatch):
+    cases = [
+        (build_model(chain_graph(c[-1][1] + 1, c), range(c[-1][1] + 1)), rows)
+        for c, rows, _ in segment_fixtures
+    ]
+
+    def refuse(*args):
+        raise AssertionError("cut_segments asked the graph")
+
+    monkeypatch.setattr(Graph, "degree", refuse)
+    monkeypatch.setattr(Graph, "has_edge", refuse)
+    for m, rows in cases:
+        assert [(s.lo, s.hi, s.case_tag, s.time) for s in cut_segments(m)] == rows
+
+
+def test_single_source_rule_is_refuted():
+    # Refuted: "some worst start set has a single source".  Blocks run from
+    # cut to cut, both cuts included; a start set's sources are the blocks
+    # holding two or more start vertices, plus each unseeded cut with a start
+    # vertex among its neighbors on both sides.  Here every percolating start
+    # set has at least two sources.
+    g = chain_graph(8, [(0, 2), (2, 4), (3, 5), (5, 7)])
+    m = build_model(g, range(8))
+    cuts = [p for p in range(1, 7) if m.right[p - 1] == p]
+    assert cuts == [2, 5]
+    assert percolation_time(m) == percolation_time_bruteforce(g) == 2
+    blocks = [set(range(lo, hi + 1)) for lo, hi in zip([0, *cuts], [*cuts, 7])]
+    sources = []
+    for k in range(9):
+        for start in map(set, combinations(range(8), k)):
+            if not percolate(g, start).percolated:
+                continue
+            fed = [c for c in cuts if c not in start
+                   and any(w < c for w in g.adj(c) & start) and any(w > c for w in g.adj(c) & start)]
+            sources.append(sum(len(b & start) >= 2 for b in blocks) + len(fed))
+    assert len(sources) == 124 and min(sources) == 2
 
 
 chain_fixtures = [
