@@ -124,20 +124,10 @@ def is_basic_sequence(seq: Sequence[int]) -> bool:
     further value.
     """
     s = tuple(seq)
-    if not s or any(x not in _VALID_VALUES for x in s):
+    try:
+        return decompose_degree_sequence(s).factors == (s,)
+    except ValueError:
         return False
-    if s[0] == 1:
-        return len(s) == 1
-    if s[0] == 2:
-        return len(s) == 2
-    i = 1
-    while i < len(s) and s[i] == 4:
-        i += 1
-    if i >= len(s):
-        return False
-    if s[i] in (1, 2):
-        return i == len(s) - 1
-    return i + 2 == len(s)
 
 
 @dataclass(frozen=True)

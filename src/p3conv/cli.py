@@ -43,8 +43,6 @@ from .graphio import (
 from .hereditary import crosscheck_interval_idempotence, find_forbidden_patterns
 from .oracle import (
     CapExceeded,
-    DEFAULT_HULL_CAP,
-    DEFAULT_TIME_CAP,
     geodetic_number_bruteforce,
     hull_number_bruteforce,
     percolation_time_bruteforce,
@@ -76,6 +74,13 @@ _GENERATE_SIZES = {
     "all-connected": 5,
 }
 
+_CROSSVAL_SUITES = {
+    "caterpillar": caterpillar_suite,
+    "uig": uig_suite,
+    "property-p": idempotence_suite,
+    "all": full_suite,
+}
+
 
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
@@ -103,7 +108,7 @@ def _build_parser() -> _Parser:
     g.set_defaults(func=_cmd_generate)
 
     c = sub.add_parser("crossval", help="validate formulas against oracles over a corpus")
-    c.add_argument("suite", choices=("caterpillar", "uig", "property-p", "all"))
+    c.add_argument("suite", choices=tuple(_CROSSVAL_SUITES))
     c.add_argument("--max-n", type=int, default=None, help="bound the instance sizes")
     c.add_argument("--seed", type=int, default=DEFAULT_SEED)
     c.add_argument("--max-oracle-n", type=int, default=None, help="override the oracle size caps")
@@ -210,13 +215,12 @@ def _cmd_analyze(args) -> int:
 
     exit_code = 0
     if args.oracle:
-        search_cap, time_cap = _oracle_caps(args)
         oracle_values = {
-            "geodetic_number": geodetic_number_bruteforce(g, search_cap),
-            "hull_number": hull_number_bruteforce(g, search_cap),
+            "geodetic_number": geodetic_number_bruteforce(g, args.max_oracle_n),
+            "hull_number": hull_number_bruteforce(g, args.max_oracle_n),
         }
         if g.is_connected():
-            oracle_values["percolation_time"] = percolation_time_bruteforce(g, time_cap)
+            oracle_values["percolation_time"] = percolation_time_bruteforce(g, args.max_oracle_n)
         payload["oracle"] = oracle_values
         agreement = {
             key: formula_values[key] == oracle_values[key]
@@ -263,32 +267,11 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _oracle_caps(args) -> tuple[int, int]:
-    """The subset-search and time caps; --max-oracle-n, when given, sets both."""
-    cap = args.max_oracle_n
-    return (DEFAULT_HULL_CAP, DEFAULT_TIME_CAP) if cap is None else (cap, cap)
-
-
 def _cmd_crossval(args) -> int:
-    seed, max_n = args.seed, args.max_n
-    least = {"caterpillar": 2, "uig": 3}.get(args.suite)
-    if least is not None and max_n is not None and max_n < least:
+    least = {"caterpillar": 2, "uig": 3, "all": 3}.get(args.suite)
+    if least is not None and args.max_n is not None and args.max_n < least:
         raise ValueError(f"crossval {args.suite} needs --max-n of at least {least}")
-    search_cap, time_cap = _oracle_caps(args)
-    if args.suite == "caterpillar":
-        report = caterpillar_suite(
-            seed=seed,
-            max_n=max_n,
-            random_max_n=14 if max_n is None else min(14, max_n),
-            search_cap=search_cap,
-            time_cap=time_cap,
-        )
-    elif args.suite == "uig":
-        report = uig_suite(seed=seed, max_n=10 if max_n is None else max_n, time_cap=time_cap)
-    elif args.suite == "property-p":
-        report = idempotence_suite(max_n=6 if max_n is None else max_n, seed=seed)
-    else:
-        report = full_suite(seed=seed)
+    report = _CROSSVAL_SUITES[args.suite](seed=args.seed, max_n=args.max_n, cap=args.max_oracle_n)
 
     if args.format == "object":
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))

@@ -1,8 +1,10 @@
 """Cross-validation of closed-form parameters against the brute-force oracles.
 
 Each suite generates a corpus, computes every parameter twice (formula and
-oracle) and returns a report of per-check rows.  Instances too large for an
-oracle cap are recorded as skipped rather than silently dropped.
+oracle) and returns a report of per-check rows.  Every suite takes max_n,
+which bounds its instance sizes, and cap, which it passes to every oracle
+call; None keeps the suite's or the oracle's default.  A check whose oracle
+raises CapExceeded is recorded as skipped rather than silently dropped.
 """
 
 from __future__ import annotations
@@ -29,9 +31,7 @@ from .generators import (
 from .graphio import to_graph6
 from .hereditary import idempotence_corpus, interval_idempotent_by_patterns
 from .oracle import (
-    DEFAULT_HULL_CAP,
-    DEFAULT_PROPERTY_CAP,
-    DEFAULT_TIME_CAP,
+    CapExceeded,
     geodetic_number_bruteforce,
     hull_number_bruteforce,
     interval_idempotent_bruteforce,
@@ -119,18 +119,18 @@ def merge_reports(*reports: ValidationReport) -> ValidationReport:
     return ValidationReport(tuple(rows), tuple(skipped))
 
 
-def _check(rows, skipped, instance, parameter, n, cap, formula, oracle):
-    """Time formula() against oracle() as one row, or skip it when n > cap.
+def _check(rows, skipped, instance, parameter, formula, oracle):
+    """Time formula() against oracle() as one row, or skip it at the oracle's cap.
 
     Returns the oracle value, or None when the check was skipped.
     """
-    if n > cap:
+    t0 = perf_counter()
+    try:
+        ov = oracle()
+    except CapExceeded:
         skipped.append(f"{instance}/{parameter}")
         return None
-    t0 = perf_counter()
-    fv = formula()
-    ov = oracle()
-    rows.append(CheckRow(instance, parameter, fv, ov, perf_counter() - t0))
+    rows.append(CheckRow(instance, parameter, formula(), ov, perf_counter() - t0))
     return ov
 
 
@@ -142,26 +142,24 @@ def _sorted_report(rows, skipped) -> ValidationReport:
 def caterpillar_suite(
     spine_max: int = 8,
     random_count: int = 500,
-    random_max_n: int = 14,
     seed: int = DEFAULT_SEED,
     max_n: int | None = None,
-    search_cap: int = DEFAULT_HULL_CAP,
-    time_cap: int = DEFAULT_TIME_CAP,
+    cap: int | None = None,
 ) -> ValidationReport:
     """Exhaustive spine profiles plus random caterpillars, three rows each.
 
     The exhaustive part realizes every capped degree profile with up to
     spine_max positions, once with the default leaf counts and once with
-    three leaves on each profile-4 position.  max_n, when given, drops
-    larger instances from the corpus entirely; the oracle caps only skip
-    individual checks.
+    three leaves on each profile-4 position; the random caterpillars have at
+    most min(14, max_n) vertices.  max_n, when given, drops larger instances
+    from the corpus entirely; the oracle caps only skip individual checks.
     """
     rows: list[CheckRow] = []
     skipped: list[str] = []
     plan = [
-        ("geodetic_number", geodetic_number, geodetic_number_bruteforce, search_cap),
-        ("hull_number", hull_number, hull_number_bruteforce, search_cap),
-        ("percolation_time", caterpillar_percolation_time, percolation_time_bruteforce, time_cap),
+        ("geodetic_number", geodetic_number, geodetic_number_bruteforce),
+        ("hull_number", hull_number, hull_number_bruteforce),
+        ("percolation_time", caterpillar_percolation_time, percolation_time_bruteforce),
     ]
 
     def handle(instance, g):
@@ -170,9 +168,8 @@ def caterpillar_suite(
         struct = recognize_caterpillar(g)
         if struct is None:
             raise AssertionError(f"{instance}: generated graph is not a caterpillar")
-        for param, ffn, ofn, cap in plan:
-            _check(rows, skipped, instance, param, g.n, cap,
-                   lambda: ffn(struct), lambda: ofn(g, cap))
+        for param, ffn, ofn in plan:
+            _check(rows, skipped, instance, param, lambda: ffn(struct), lambda: ofn(g, cap))
 
     for rds in spine_sequences(spine_max):
         tag = "".join(str(d) for d in rds)
@@ -182,6 +179,7 @@ def caterpillar_suite(
             handle(f"cat-ex4-{tag}", realize_caterpillar(rds, heavy))
 
     rng = random.Random(seed)
+    random_max_n = 14 if max_n is None else min(14, max_n)
     for i in range(random_count):
         handle(f"cat-rnd-{i:04d}", random_caterpillar(rng, random_max_n))
 
@@ -190,22 +188,23 @@ def caterpillar_suite(
 
 def uig_suite(
     count: int = 300,
-    max_n: int = 10,
+    max_n: int | None = None,
     seed: int = DEFAULT_SEED,
-    time_cap: int = DEFAULT_TIME_CAP,
+    cap: int | None = None,
 ) -> ValidationReport:
     """Random unit interval graphs of three flavors, spreading time rows.
 
-    One third is sampled from random points on the line, one third from
-    loosely overlapping clique chains (these carry cut vertices), one third
-    from 2-connected chains (these carry singular positions).  2-connected
+    Instances have at most max_n vertices, 10 by default.  One third is
+    sampled from random points on the line, one third from loosely
+    overlapping clique chains (these carry cut vertices), one third from
+    2-connected chains (these carry singular positions).  2-connected
     instances get an extra row for the diameter shortcut, checked against
     the same oracle value.
     """
     rows: list[CheckRow] = []
     skipped: list[str] = []
     rng = random.Random(seed)
-
+    max_n = 10 if max_n is None else max_n
     makers = [
         ("uig-rnd", lambda: random_unit_interval_graph(rng, rng.randint(2, max_n))),
         ("uig-chain", lambda: random_clique_chain(rng, rng.randint(3, max_n))),
@@ -217,42 +216,44 @@ def uig_suite(
             instance = f"{prefix}-{i:04d}"
             g, order = make()
             model = build_model(g, order)
-            ov = _check(rows, skipped, instance, "percolation_time", g.n, time_cap,
+            ov = _check(rows, skipped, instance, "percolation_time",
                         lambda: unit_interval_percolation_time(model),
-                        lambda: percolation_time_bruteforce(g, time_cap))
+                        lambda: percolation_time_bruteforce(g, cap))
             if ov is not None and model.biconnected:
-                _check(rows, skipped, instance, "percolation_time_biconnected", g.n, time_cap,
+                _check(rows, skipped, instance, "percolation_time_biconnected",
                        lambda: percolation_time_biconnected(model), lambda: ov)
 
     return _sorted_report(rows, skipped)
 
 
 def idempotence_suite(
-    max_n: int = 6,
+    max_n: int | None = None,
     seed: int = DEFAULT_SEED,
     samples_per_size: int = 120,
-    property_cap: int = DEFAULT_PROPERTY_CAP,
+    cap: int | None = None,
 ) -> ValidationReport:
     """Pattern-predicted interval idempotence against the exhaustive check.
 
-    Connected graphs up to min(max_n, 7) vertices are enumerated completely;
-    larger sizes (up to the cap) are sampled.  Booleans are recorded as 0/1
-    rows keyed by graph6 string.
+    Connected graphs up to min(max_n, 7) vertices (max_n is 6 by default)
+    are enumerated completely; larger sizes are sampled.  Booleans are
+    recorded as 0/1 rows keyed by graph6 string.
     """
     rows: list[CheckRow] = []
     skipped: list[str] = []
 
-    for g in idempotence_corpus(max_n, seed, samples_per_size):
-        _check(rows, skipped, f"g6-{to_graph6(g)}", "interval_idempotent", g.n, property_cap,
+    for g in idempotence_corpus(6 if max_n is None else max_n, seed, samples_per_size):
+        _check(rows, skipped, f"g6-{to_graph6(g)}", "interval_idempotent",
                lambda: int(interval_idempotent_by_patterns(g)),
-               lambda: int(interval_idempotent_bruteforce(g, property_cap)))
+               lambda: int(interval_idempotent_bruteforce(g, cap)))
 
     return _sorted_report(rows, skipped)
 
 
-def full_suite(seed: int = DEFAULT_SEED) -> ValidationReport:
+def full_suite(
+    seed: int = DEFAULT_SEED, max_n: int | None = None, cap: int | None = None
+) -> ValidationReport:
     return merge_reports(
-        caterpillar_suite(seed=seed),
-        uig_suite(seed=seed),
-        idempotence_suite(seed=seed),
+        caterpillar_suite(seed=seed, max_n=max_n, cap=cap),
+        uig_suite(seed=seed, max_n=max_n, cap=cap),
+        idempotence_suite(seed=seed, max_n=max_n, cap=cap),
     )

@@ -7,7 +7,7 @@ are reproducible; the same seed always yields the same graphs.
 from __future__ import annotations
 
 import random
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from typing import Iterator, Optional
 
 from .graph import Graph
@@ -84,66 +84,56 @@ def random_caterpillar(rng: random.Random, max_vertices: int = 14) -> Graph:
             return shuffle_labels(rng, g)
 
 
-def _mask_connected(mask: int, n: int, pairs: list[tuple[int, int]]) -> bool:
-    adj = [0] * n
-    mm = mask
-    while mm:
-        b = mm & -mm
-        u, w = pairs[b.bit_length() - 1]
-        adj[u] |= 1 << w
-        adj[w] |= 1 << u
-        mm ^= b
-    reach = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            b = f & -f
-            nxt |= adj[b.bit_length() - 1]
-            f ^= b
-        frontier = nxt & ~reach
-        reach |= frontier
-    return reach == (1 << n) - 1
+def _min_mask(adj: list[int]) -> int:
+    """The smallest edge mask of the graph over all relabelings.
+
+    Bit i of a mask is pair i of ``combinations(range(n), 2)``, so the pairs
+    (k, j > k) outweigh every pair of a smaller label.  Labels are handed out
+    from n - 1 down; each step keeps the vertices whose key, their adjacency
+    to the labelled ones read from label n - 1 down, is smallest, following
+    every tie.  A state is the unlabelled vertices with their keys; it fixes
+    every later bit, so equal states are kept once.
+    """
+    n = len(adj)
+    states = {tuple((v, 0) for v in range(n))}
+    mask = 0
+    for k in range(n - 1, -1, -1):
+        best = min(key for state in states for _, key in state)
+        states = {
+            tuple((u, key << 1 | (adj[u] >> v & 1)) for u, key in state if u != v)
+            for state in states
+            for v, key_v in state
+            if key_v == best
+        }
+        mask |= best << (k * n - k * (k + 1) // 2)
+    return mask
 
 
 def connected_graphs(n: int) -> Iterator[Graph]:
     """Every connected graph on n vertices, one per isomorphism class.
 
-    Feasible up to n = 7.  Edge sets are bitmasks; when a new class is found,
-    its whole relabeling orbit is marked so later masks in the orbit are
-    skipped without rebuilding them.
+    Feasible up to n = 7.  Deleting a leaf of a spanning tree leaves a graph
+    connected, so every connected graph on k + 1 vertices is one on k
+    vertices plus a vertex with at least one neighbour.  The graphs are grown
+    one vertex at a time, each size deduplicated by its smallest edge mask
+    (any member of a class grows into the same classes), and yielded in
+    increasing mask order: the first mask of each class.
     """
     if n < 1:
         return
-    if n == 1:
-        yield Graph(1, [])
-        return
     if n > 7:
         raise ValueError("exhaustive enumeration is only feasible up to 7 vertices")
+    level = {0: [0]}  # smallest edge mask -> adjacency masks of one member
+    for k in range(1, n):
+        grown = {}
+        for adj in level.values():
+            for nbrs in range(1, 1 << k):
+                bigger = [a | (nbrs >> v & 1) << k for v, a in enumerate(adj)] + [nbrs]
+                grown[_min_mask(bigger)] = bigger
+        level = grown
     pairs = list(combinations(range(n), 2))
-    m = len(pairs)
-    idx = {p: i for i, p in enumerate(pairs)}
-    edge_maps = []
-    for perm in permutations(range(n)):
-        edge_maps.append(
-            [idx[tuple(sorted((perm[u], perm[w])))] for u, w in pairs]
-        )
-    seen = bytearray(1 << m)
-    for mask in range(1 << m):
-        if seen[mask]:
-            continue
-        if not _mask_connected(mask, n, pairs):
-            continue
-        yield Graph(n, [pairs[i] for i in range(m) if mask >> i & 1])
-        for emap in edge_maps:
-            other = 0
-            mm = mask
-            while mm:
-                b = mm & -mm
-                other |= 1 << emap[b.bit_length() - 1]
-                mm ^= b
-            seen[other] = 1
+    for mask in sorted(level):
+        yield Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
 
 
 def random_connected_graph(

@@ -44,10 +44,11 @@ class CapExceeded(Exception):
     """A brute-force computation was asked to search more than its size cap allows."""
 
 
-def _require_within(g: Graph, max_n: int, what: str) -> None:
-    if g.n > max_n:
+def _require_within(g: Graph, max_n: Optional[int], default: int, what: str) -> None:
+    cap = default if max_n is None else max_n
+    if g.n > cap:
         raise CapExceeded(
-            f"{what} enumerates subsets of {g.n} vertices; cap is {max_n}"
+            f"{what} enumerates subsets of {g.n} vertices; cap is {cap}"
         )
 
 
@@ -162,35 +163,35 @@ def hull_closure(g: Graph, s: Iterable[int]) -> frozenset[int]:
     return percolate(g, s).closure
 
 
-def hull_number_bruteforce(g: Graph, max_n: int = DEFAULT_HULL_CAP) -> int:
+def hull_number_bruteforce(g: Graph, max_n: Optional[int] = None) -> int:
     """Minimum size of a set whose closure is the whole vertex set."""
-    _require_within(g, max_n, "hull number search")
+    _require_within(g, max_n, DEFAULT_HULL_CAP, "hull number search")
     return next(_smallest_covers(_adjacency_masks(g))).bit_count()
 
 
-def minimum_hull_sets(g: Graph, max_n: int = DEFAULT_HULL_CAP) -> list[frozenset[int]]:
+def minimum_hull_sets(g: Graph, max_n: Optional[int] = None) -> list[frozenset[int]]:
     """All minimum-size sets whose closure is the whole vertex set."""
-    _require_within(g, max_n, "hull set search")
+    _require_within(g, max_n, DEFAULT_HULL_CAP, "hull set search")
     return [_members(s) for s in _smallest_covers(_adjacency_masks(g))]
 
 
-def geodetic_number_bruteforce(g: Graph, max_n: int = DEFAULT_HULL_CAP) -> int:
+def geodetic_number_bruteforce(g: Graph, max_n: Optional[int] = None) -> int:
     """Minimum size of a set that covers the whole graph in a single round."""
-    _require_within(g, max_n, "geodetic number search")
+    _require_within(g, max_n, DEFAULT_HULL_CAP, "geodetic number search")
     return next(_smallest_covers(_adjacency_masks(g), 2)).bit_count()
 
 
-def percolation_time_bruteforce(g: Graph, max_n: int = DEFAULT_TIME_CAP) -> int:
+def percolation_time_bruteforce(g: Graph, max_n: Optional[int] = None) -> int:
     """Largest number of rounds any percolating set needs to cover the graph."""
-    _require_within(g, max_n, "percolation time search")
+    _require_within(g, max_n, DEFAULT_TIME_CAP, "percolation time search")
     return max(len(rounds) - 1 for rounds in _percolating_rounds(_adjacency_masks(g)))
 
 
 def vertex_percolation_time_bruteforce(
-    g: Graph, v: int, max_n: int = DEFAULT_TIME_CAP
+    g: Graph, v: int, max_n: Optional[int] = None
 ) -> int:
     """Latest round at which v gets infected, over all percolating start sets."""
-    _require_within(g, max_n, "vertex percolation time search")
+    _require_within(g, max_n, DEFAULT_TIME_CAP, "vertex percolation time search")
     bit = _mask_of(g, (v,))
     return max(
         next(t for t, m in enumerate(rounds) if m & bit)
@@ -198,13 +199,13 @@ def vertex_percolation_time_bruteforce(
     )
 
 
-def interval_idempotent_bruteforce(g: Graph, max_n: int = DEFAULT_PROPERTY_CAP) -> bool:
+def interval_idempotent_bruteforce(g: Graph, max_n: Optional[int] = None) -> bool:
     """Whether spreading once from any vertex set already reaches a fixpoint.
 
     True iff for every S the set infected after one round equals the set
     infected after two rounds, that is, no start set has a second round
     that infects anything.  Checks all 2^n subsets.
     """
-    _require_within(g, max_n, "interval idempotence check")
+    _require_within(g, max_n, DEFAULT_PROPERTY_CAP, "interval idempotence check")
     masks = _adjacency_masks(g)
     return all(len(list(islice(_spread(masks, s), 3))) < 3 for s in range(1 << g.n))

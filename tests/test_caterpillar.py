@@ -74,6 +74,33 @@ def test_is_basic_sequence():
     assert not is_basic_sequence((2, 2, 2, 2))
 
 
+def reference_is_basic_sequence(s):
+    """is_basic_sequence as first written, with the factor shapes spelled out."""
+    if not s or any(x not in (1, 2, 3, 4) for x in s):
+        return False
+    if s[0] == 1:
+        return len(s) == 1
+    if s[0] == 2:
+        return len(s) == 2
+    i = 1
+    while i < len(s) and s[i] == 4:
+        i += 1
+    if i >= len(s):
+        return False
+    if s[i] in (1, 2):
+        return i == len(s) - 1
+    return i + 2 == len(s)
+
+
+@pytest.mark.parametrize(
+    "max_len, values", [(6, range(6)), (9, range(1, 5))], ids=["len6-values0to5", "len9-values1to4"]
+)
+def test_is_basic_sequence_matches_the_spelled_out_shapes(max_len, values):
+    for k in range(max_len + 1):
+        for s in itertools.product(values, repeat=k):
+            assert is_basic_sequence(s) == reference_is_basic_sequence(s), s
+
+
 def test_step_vectors_of_reference_profile():
     p = percolation_sequence((1, 2, 3, 4, 2, 3, 3, 1))
     assert p.run_ids == (1, 2, 3, 4, 5, 6, 6, 7)

@@ -345,9 +345,23 @@ def test_usage_error_after_a_successful_call(capsys, p4_file):
         (["crossval", "caterpillar", "--max-n", "0"], 1, "", "error: crossval caterpillar needs --max-n of at least 2\n"),
         (["crossval", "caterpillar", "--max-n", "1"], 1, "", "error: crossval caterpillar needs --max-n of at least 2\n"),
         (["crossval", "uig", "--max-n", "2"], 1, "", "error: crossval uig needs --max-n of at least 3\n"),
+        (
+            ["crossval", "property-p", "--max-n", "4", "--max-oracle-n", "0"],
+            0,
+            "# summary: rows=0 agreeing=0 disagreeing=0 skipped=10\n",
+            "warning: 10 checks skipped beyond the oracle cap; raise --max-oracle-n to include them\n",
+        ),
+        (
+            ["crossval", "all", "--max-n", "3", "--max-oracle-n", "0"],
+            0,
+            "# summary: rows=0 agreeing=0 disagreeing=0 skipped=1810\n",
+            "warning: 1810 checks skipped beyond the oracle cap; raise --max-oracle-n to include them\n",
+        ),
+        (["crossval", "all", "--max-n", "2"], 1, "", "error: crossval all needs --max-n of at least 3\n"),
     ],
     ids=["uig-cap-0", "caterpillar-cap-0", "property-p-max-n-0",
-         "caterpillar-max-n-0", "caterpillar-max-n-1", "uig-max-n-2"],
+         "caterpillar-max-n-0", "caterpillar-max-n-1", "uig-max-n-2",
+         "property-p-cap-0", "all-max-n-3-cap-0", "all-max-n-2"],
 )
 def test_crossval_size_options_take_zero_as_a_value(capsys, argv, rc, tail, err):
     got_rc, out, got_err = run(capsys, *argv)

@@ -7,7 +7,7 @@ from p3conv.crossval import (
 
 
 def test_caterpillar_suite_small():
-    rep = caterpillar_suite(spine_max=5, random_count=30, random_max_n=12)
+    rep = caterpillar_suite(spine_max=5, random_count=30)
     assert rep.rows
     assert rep.disagreements == ()
     assert {r.parameter for r in rep.rows} == {
@@ -19,7 +19,7 @@ def test_caterpillar_suite_small():
 
 
 def test_caterpillar_suite_respects_caps():
-    rep = caterpillar_suite(spine_max=5, random_count=0, search_cap=8, time_cap=8)
+    rep = caterpillar_suite(spine_max=5, random_count=0, cap=8)
     assert rep.skipped
     assert all("/" in entry for entry in rep.skipped)
     assert rep.disagreements == ()

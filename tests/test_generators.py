@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, permutations
 
 from p3conv.caterpillar import recognize_caterpillar
 from p3conv.generators import (
@@ -68,6 +69,33 @@ def test_random_tree():
 
 def test_connected_graphs_counts():
     assert [sum(1 for _ in connected_graphs(n)) for n in range(1, 7)] == [1, 1, 2, 6, 21, 112]
+
+
+def reference_connected_graphs(n):
+    """connected_graphs as first written: every edge mask in increasing order,
+    marking the relabeling orbit of each connected one it yields."""
+    pairs = list(combinations(range(n), 2))
+    idx = {p: i for i, p in enumerate(pairs)}
+    edge_maps = [
+        [idx[tuple(sorted((perm[u], perm[w])))] for u, w in pairs]
+        for perm in permutations(range(n))
+    ]
+    seen = set()
+    for mask in range(1 << len(pairs)):
+        if mask in seen:
+            continue
+        g = Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+        if not g.is_connected():
+            continue
+        yield g
+        for emap in edge_maps:
+            seen.add(sum(1 << emap[i] for i in range(len(pairs)) if mask >> i & 1))
+
+
+def test_connected_graphs_match_the_orbit_marking_enumeration():
+    for n in range(1, 7):
+        got = [g.edges() for g in connected_graphs(n)]
+        assert got == [g.edges() for g in reference_connected_graphs(n)], n
 
 
 def test_connected_graphs_are_connected_and_distinct():
