@@ -33,7 +33,7 @@ class CaterpillarStructure:
     reduced_degrees: tuple[int, ...]
     leaves: tuple[tuple[int, ...], ...]
 
-    @property
+    @cached_property
     def leaf_count(self) -> int:
         """Number of degree-one vertices of the whole tree."""
         hanging = sum(len(group) for group in self.leaves)
@@ -72,25 +72,31 @@ def recognize_caterpillar(g: Graph) -> Optional[CaterpillarStructure]:
         raise ValueError("caterpillar recognition needs at least two vertices")
     if g.edge_count != g.n - 1:
         return None
-    nbrs = [sorted(g.adj(v)) for v in range(g.n)]
+    nbrs = g._adj
 
     def farthest(src: int) -> tuple[int, list[int]]:
-        # Breadth-first over ascending neighbor lists: the last vertex found
-        # and each vertex's parent (-1 if unreached).
+        # Breadth-first: each vertex's parent (-1 if unreached), and the vertex
+        # a search over ascending neighbor lists finds last, which in a tree is
+        # the deepest one whose path from src is lexicographically largest.
         parent = [-1] * g.n
         parent[src] = src
         frontier = [src]
-        last = src
         while frontier:
-            nxt = []
-            for u in frontier:
+            deepest = frontier
+            frontier = []
+            for u in deepest:
                 for w in nbrs[u]:
                     if parent[w] < 0:
                         parent[w] = u
-                        nxt.append(w)
-            if nxt:
-                last = nxt[-1]
-            frontier = nxt
+                        frontier.append(w)
+        # Climb to the deepest vertices' lowest common ancestor, then walk
+        # back down taking the largest label at each level.
+        levels = [deepest]
+        while len(levels[-1]) > 1:
+            levels.append({parent[v] for v in levels[-1]})
+        (last,) = levels.pop()
+        while levels:
+            last = max(w for w in levels.pop() if parent[w] == last)
         return last, parent
 
     end_a, parent = farthest(0)
@@ -101,18 +107,21 @@ def recognize_caterpillar(g: Graph) -> Optional[CaterpillarStructure]:
     while path[-1] != end_a:
         path.append(parent[path[-1]])
     spine = tuple(path)
+
+    # The spine sends sum(degrees) - 2(k - 1) edges off itself, each to its own
+    # vertex, as g is a tree.  When that reaches all n - k other vertices, each
+    # of them is a leaf: a second neighbor would also hang off the spine and
+    # close a cycle.  A spine vertex of degree at most two carries no leaf.
     on_spine = set(spine)
-
-    for v in range(g.n):
-        if v in on_spine:
-            continue
-        if len(nbrs[v]) != 1 or nbrs[v][0] not in on_spine:
-            return None
-
+    degrees = [len(nbrs[v]) for v in spine]
+    if sum(degrees) - 2 * (len(spine) - 1) != g.n - len(spine):
+        return None
     return CaterpillarStructure(
         spine=spine,
-        reduced_degrees=tuple(min(len(nbrs[v]), 4) for v in spine),
-        leaves=tuple(tuple(w for w in nbrs[v] if w not in on_spine) for v in spine),
+        reduced_degrees=tuple([min(d, 4) for d in degrees]),
+        leaves=tuple(
+            [tuple(sorted(nbrs[v] - on_spine)) if d > 2 else () for v, d in zip(spine, degrees)]
+        ),
     )
 
 

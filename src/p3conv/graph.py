@@ -15,21 +15,23 @@ from typing import Iterable, Iterator, Optional
 class Graph:
     """Immutable undirected simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "_adj", "_hash")
+    __slots__ = ("n", "edge_count", "_adj", "_hash")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        adj: list[set[int]] = [set() for _ in range(n)]
+        adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            adj[u].add(v)
-            adj[v].add(u)
+            adj[u].append(v)
+            adj[v].append(u)
         self.n = n
-        self._adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
+        self._adj: tuple[frozenset[int], ...] = tuple(map(frozenset, adj))
+        # Repeated edges collapse in the sets, so count from them.
+        self.edge_count: int = sum(map(len, self._adj)) // 2
         self._hash: Optional[int] = None
 
     @classmethod
@@ -77,10 +79,6 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, sorted."""
         return [(u, v) for u in range(self.n) for v in sorted(self._adj[u]) if u < v]
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(s) for s in self._adj) // 2
 
     def vertices(self) -> range:
         return range(self.n)

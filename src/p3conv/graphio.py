@@ -3,14 +3,16 @@
 A document is a block of lines: an optional ``name:`` line, a vertex count,
 one ``u v`` line per edge, and an optional ``order:`` line giving a left to
 right vertex arrangement.  Lines starting with ``#`` are comments; a blank
-line separates documents in a stream.  Parse errors always carry the
-1-based line number they refer to.
+line separates documents in a stream.  A line ends at ``\n``, ``\r\n`` or
+``\r`` only, as in a file read with universal newlines; a form feed or any
+other Unicode line separator inside a line is whitespace between fields.
+Parse errors always carry the 1-based line number they refer to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .graph import Graph
 
@@ -33,21 +35,50 @@ class GraphDocument:
         return Graph(self.vertex_count, self.edges)
 
 
-def _parse_block(block: list[tuple[int, str]]) -> GraphDocument:
-    name = None
-    n = None
-    order = None
-    edges = []
-    seen = set()
-    for no, line in block:
+def _parse_block(lines: Iterator[tuple[int, str]]) -> Optional[GraphDocument]:
+    """The next document from numbered lines, or None when only blank lines
+    and comments remain.  Reads through the blank line that ends it."""
+    first = name = n = order = None
+    edges: list[tuple[int, int]] = []
+    seen: set[int] = set()  # edge u < w as the key u * n + w
+    for no, raw in lines:
+        parts = raw.split()
+        if n is not None and len(parts) == 2:
+            # Any line of two integers is an edge: no name, order or comment
+            # line splits that way.
+            try:
+                u, w = int(parts[0]), int(parts[1])
+            except ValueError:
+                pass
+            else:
+                if u == w:
+                    raise ParseError(no, f"self-loop at vertex {u}")
+                if not (0 <= u < n and 0 <= w < n):
+                    raise ParseError(no, f"edge {u} {w} outside vertex range 0..{n - 1}")
+                if u > w:
+                    u, w = w, u
+                key = u * n + w
+                if key in seen:
+                    raise ParseError(no, f"duplicate edge {u} {w}")
+                seen.add(key)
+                edges.append((u, w))
+                continue
+        if not parts:
+            if first is None:
+                continue
+            break
+        line = raw.strip()
+        if line.startswith("#"):
+            continue
+        if first is None:
+            first = no
         if line.startswith("name:"):
             if name is not None:
                 raise ParseError(no, "duplicate name line")
             name = line[len("name:"):].strip()
             if not name:
                 raise ParseError(no, "empty name")
-            continue
-        if line.startswith("order:"):
+        elif line.startswith("order:"):
             if n is None:
                 raise ParseError(no, "order line before the vertex count")
             if order is not None:
@@ -59,8 +90,7 @@ def _parse_block(block: list[tuple[int, str]]) -> GraphDocument:
             if sorted(vals) != list(range(n)):
                 raise ParseError(no, f"order must be a permutation of 0..{n - 1}")
             order = tuple(vals)
-            continue
-        if n is None:
+        elif n is None:
             try:
                 n = int(line)
             except ValueError:
@@ -69,43 +99,23 @@ def _parse_block(block: list[tuple[int, str]]) -> GraphDocument:
                 ) from None
             if n < 0:
                 raise ParseError(no, "vertex count must be nonnegative")
-            continue
-        parts = line.split()
-        if len(parts) != 2:
+        elif len(parts) != 2:
             raise ParseError(no, f"expected an edge 'u v', got {line!r}")
-        try:
-            u, w = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(no, f"edge endpoints must be integers, got {line!r}") from None
-        if u == w:
-            raise ParseError(no, f"self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= w < n):
-            raise ParseError(no, f"edge {u} {w} outside vertex range 0..{n - 1}")
-        e = (min(u, w), max(u, w))
-        if e in seen:
-            raise ParseError(no, f"duplicate edge {e[0]} {e[1]}")
-        seen.add(e)
-        edges.append(e)
+        else:
+            raise ParseError(no, f"edge endpoints must be integers, got {line!r}")
+    if first is None:
+        return None
     if n is None:
-        raise ParseError(block[0][0], "document has no vertex count")
-    return GraphDocument(n, tuple(sorted(edges)), order, name)
+        raise ParseError(first, "document has no vertex count")
+    edges.sort()
+    return GraphDocument(n, tuple(edges), order, name)
 
 
 def parse_documents(text: str) -> list[GraphDocument]:
+    lines = enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1)
     docs = []
-    block: list[tuple[int, str]] = []
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line.startswith("#"):
-            continue
-        if not line:
-            if block:
-                docs.append(_parse_block(block))
-                block = []
-            continue
-        block.append((no, line))
-    if block:
-        docs.append(_parse_block(block))
+    while (doc := _parse_block(lines)) is not None:
+        docs.append(doc)
     return docs
 
 

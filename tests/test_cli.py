@@ -9,9 +9,20 @@ import pytest
 import p3conv.cli
 import p3conv.graph
 from p3conv import unit_interval
+from p3conv.caterpillar import (
+    geodetic_number,
+    hull_number,
+    percolation_time,
+    recognize_caterpillar,
+)
 from p3conv.cli import main
-from p3conv.generators import random_biconnected_chain, random_clique_chain
-from p3conv.graph import blocks as graph_blocks
+from p3conv.generators import (
+    random_biconnected_chain,
+    random_clique_chain,
+    realize_caterpillar,
+    shuffle_labels,
+)
+from p3conv.graph import Graph, blocks as graph_blocks
 from p3conv.graphio import document_for, parse_documents, serialize_document
 
 
@@ -63,6 +74,43 @@ def test_analyze_caterpillar_with_oracle(capsys, p4_file):
     assert "oracle.geodetic_number: 3" in out
     assert "agreement.geodetic_number: yes" in out
     assert "agreement.percolation_time: yes" in out
+
+
+def test_analyze_large_caterpillar_object_and_text(capsys, tmp_path):
+    rng = random.Random(12)
+    profile = (1, *(rng.choice((2, 3, 4)) for _ in range(298)), 1)
+    shuffled = shuffle_labels(rng, realize_caterpillar(profile))
+    f = tmp_path / "cat.txt"
+    f.write_text(serialize_document(document_for(shuffled)))
+    # Expected values come from the graph itself, not from the parser.
+    s = recognize_caterpillar(Graph(shuffled.n, shuffled.edges()))
+    expected = {
+        "spine": list(s.spine),
+        "degree_profile": list(s.reduced_degrees),
+        "leaf_count": s.leaf_count,
+        "factors": ["".join(map(str, f)) for f in s.factorization.factors],
+        "spine_times": list(s.percolation.times),
+        "geodetic_number": geodetic_number(s),
+        "hull_number": hull_number(s),
+        "percolation_time": percolation_time(s),
+    }
+    assert tuple(expected["degree_profile"]) in (profile, profile[::-1])
+
+    rc, out, _ = run(capsys, "analyze", str(f), "--format", "object")
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["class"] == "caterpillar"
+    assert (payload["vertices"], payload["edge_count"]) == (shuffled.n, shuffled.n - 1)
+    assert {key: payload[key] for key in expected} == expected
+
+    rc, out, _ = run(capsys, "analyze", str(f))
+    assert rc == 0
+    lines = dict(line.split(": ", 1) for line in out.splitlines())
+    assert lines["class"] == "caterpillar"
+    assert {key: lines[key] for key in expected} == {
+        key: " ".join(map(str, v)) if isinstance(v, list) else str(v)
+        for key, v in expected.items()
+    }
 
 
 def test_analyze_unit_interval(capsys, uig9_file):

@@ -24,8 +24,11 @@ def test_basic_accessors():
 def test_edges_are_deduplicated_and_validated():
     g = Graph(3, [(0, 1), (1, 0)])
     assert len(g.edges()) == 1
+    assert g.edge_count == 1
     with pytest.raises(ValueError):
         Graph(3, [(0, 3)])
+    with pytest.raises(ValueError):
+        Graph(3, [(-1, 0)])
     with pytest.raises(ValueError):
         Graph(2, [(1, 1)])
 

@@ -1,4 +1,7 @@
+import io
+
 import pytest
+from hypothesis import given, strategies as st
 
 from p3conv.graph import Graph
 from p3conv.graphio import (
@@ -57,6 +60,68 @@ def test_errors_carry_line_numbers():
         parse_document("3\n0 1\n1 5\n")
     assert e.value.line_no == 3
     assert "outside vertex range" in str(e.value)
+
+
+@pytest.mark.parametrize(
+    "text, line_no, reason",
+    [
+        ("name: a\nname: b\n2\n", 2, "duplicate name line"),
+        ("name:  \n2\n", 1, "empty name"),
+        ("order: 0 1\n2\n", 1, "order line before the vertex count"),
+        ("2\norder: 0 1\norder: 1 0\n", 3, "duplicate order line"),
+        ("2\norder: 0 x\n", 2, "order entries must be integers"),
+        ("3\n0 1\norder: 0 1 1\n", 3, "order must be a permutation of 0..2"),
+        ("x\n0 1\n", 1, "expected a vertex count, got 'x'"),
+        ("-2\n", 1, "vertex count must be nonnegative"),
+        ("3\n0 1 2\n", 2, "expected an edge 'u v', got '0 1 2'"),
+        ("3\n0 a\n", 2, "edge endpoints must be integers, got '0 a'"),
+        ("3\n0 1\n2 2\n", 3, "self-loop at vertex 2"),
+        ("3\n0 1\n1 5\n", 3, "edge 1 5 outside vertex range 0..2"),
+        ("3\n0 1\n1 2\n# again\n1 0\n", 5, "duplicate edge 0 1"),
+        ("# header\n\nname: lonely\n", 3, "document has no vertex count"),
+        # Only \n, \r\n and \r end a line; a form feed separates fields.
+        ("3\n0 1\f1 5\n", 2, "expected an edge 'u v', got '0 1\\x0c1 5'"),
+        ("3\r\n0 1\r\n1 5\r\n", 3, "edge 1 5 outside vertex range 0..2"),
+        ("3\r0 1\r1 5\r", 3, "edge 1 5 outside vertex range 0..2"),
+    ],
+)
+def test_every_parse_error_names_its_line(text, line_no, reason):
+    with pytest.raises(ParseError) as e:
+        parse_documents(text)
+    assert (e.value.line_no, e.value.reason) == (line_no, reason)
+    assert str(e.value) == f"line {line_no}: {reason}"
+
+
+_FRAGMENTS = st.sampled_from(
+    ["0", "1", "2", "3", "-1", "x", " ", "\t", "\n", "\r", "\r\n", "\f", "\x85",
+     "\u2028", "#", "name:", "order:", "1 2", "0 1\n", "3\n"]
+)
+
+
+@given(st.one_of(st.text(), st.lists(_FRAGMENTS).map("".join)))
+def test_any_text_parses_or_names_a_line_it_has(text):
+    try:
+        docs = parse_documents(text)
+    except ParseError as e:
+        # The standard library's universal-newline reader gives the lines.
+        assert 1 <= e.line_no <= len(io.StringIO(text, newline=None).readlines())
+    else:
+        assert all(isinstance(d, GraphDocument) for d in docs)
+
+
+@st.composite
+def _documents(draw):
+    n = draw(st.integers(0, 7))
+    pairs = [(u, w) for u in range(n) for w in range(u + 1, n)]
+    edges = tuple(sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else ())
+    order = draw(st.none() | st.permutations(range(n)).map(tuple))
+    name = draw(st.none() | st.from_regex(r"[A-Za-z0-9_-]([A-Za-z0-9_ -]*[A-Za-z0-9_-])?", fullmatch=True))
+    return GraphDocument(n, edges, order, name)
+
+
+@given(st.lists(_documents(), max_size=4))
+def test_documents_round_trip(docs):
+    assert parse_documents(serialize_documents(docs)) == docs
 
 
 def test_order_must_cover_all_vertices():
