@@ -17,20 +17,24 @@ pieces, on vertex sets held as bitmasks (bit v stands for vertex v):
 - ``_start_sets`` enumerates start sets by rising size.  A vertex of degree
   below two can never become infected by its neighbors, so it belongs to
   every set whose closure is to cover the whole graph.  Every start set
-  holds all such vertices plus k others, with k rising from 0 and the sets
-  of one size in ``itertools.combinations`` order.  Folding the forced
-  vertices in up front shrinks the search space without changing any
-  answer, and the empty graph gets the empty start set, which covers it.
+  holds all such vertices plus k free others, listed with it, with k rising
+  from 0 and the sets of one size in ``itertools.combinations`` order.
+  Folding the forced vertices in up front shrinks the search space without
+  changing any answer, and the empty graph gets the empty start set.
 
 The hull and geodetic numbers are the smallest size of a start set that
-covers the graph, eventually or in one round; the percolation times are
-maxima over the round lists of the start sets that cover it.
+covers the graph, eventually or in one round.  The percolation times are
+maxima over the round lists of the inclusion-minimal start sets that cover
+it: if S is a subset of T, each round from T contains the same round from S,
+so T percolates when S does and infects every vertex no later.  A set one
+free vertex above a percolating set is recorded as percolating, unrun, and
+the search stops after the first size where every start set percolates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations, compress, count, islice
 from typing import Iterable, Iterator, Optional
 
 from .graph import Graph
@@ -53,7 +57,7 @@ def _require_within(g: Graph, max_n: Optional[int], default: int, what: str) -> 
 
 
 def _adjacency_masks(g: Graph) -> list[int]:
-    return [sum(1 << w for w in g.adj(v)) for v in range(g.n)]
+    return [sum(1 << w for w in nbrs) for nbrs in g._adj]
 
 
 def _mask_of(g: Graph, vertices: Iterable[int]) -> int:
@@ -66,7 +70,7 @@ def _mask_of(g: Graph, vertices: Iterable[int]) -> int:
 
 
 def _members(mask: int) -> frozenset[int]:
-    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+    return frozenset(compress(count(), map("1".__eq__, reversed(bin(mask)))))
 
 
 def _spread(masks: list[int], start: int) -> Iterator[int]:
@@ -87,8 +91,8 @@ def _spread(masks: list[int], start: int) -> Iterator[int]:
         infected |= fresh
 
 
-def _start_sets(masks: list[int]) -> Iterator[int]:
-    """The vertices of degree below two plus k others, k rising from 0."""
+def _start_sets(masks: list[int]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(mask, free bits) of the degree-below-two vertices plus k others, k rising from 0."""
     forced = 0
     free = []
     for v, nbrs in enumerate(masks):
@@ -98,7 +102,7 @@ def _start_sets(masks: list[int]) -> Iterator[int]:
             free.append(1 << v)
     for k in range(len(free) + 1):
         for combo in combinations(free, k):
-            yield forced | sum(combo)
+            yield forced | sum(combo), combo
 
 
 def _smallest_covers(masks: list[int], stop: Optional[int] = None) -> Iterator[int]:
@@ -109,21 +113,32 @@ def _smallest_covers(masks: list[int], stop: Optional[int] = None) -> Iterator[i
     """
     full = (1 << len(masks)) - 1
     size = len(masks)
-    for s in _start_sets(masks):
+    for s, _ in _start_sets(masks):
         if s.bit_count() > size:
             return
-        if list(islice(_spread(masks, s), stop))[-1] == full:
+        for last in islice(_spread(masks, s), stop):
+            pass
+        if last == full:
             size = s.bit_count()
             yield s
 
 
 def _percolating_rounds(masks: list[int]) -> Iterator[list[int]]:
-    """Round lists of the start sets whose infection reaches every vertex."""
+    """Round lists of the minimal start sets whose infection reaches every vertex."""
     full = (1 << len(masks)) - 1
-    for s in _start_sets(masks):
-        rounds = list(_spread(masks, s))
-        if rounds[-1] == full:
+    smaller, percolating, size, stalled = set(), set(), 0, False
+    for s, free in _start_sets(masks):
+        if len(free) > size:
+            if not stalled:
+                return
+            smaller, percolating, size, stalled = percolating, set(), len(free), False
+        if smaller.isdisjoint(map(s.__xor__, free)):
+            rounds = list(_spread(masks, s))
+            if rounds[-1] != full:
+                stalled = True
+                continue
             yield rounds
+        percolating.add(s)
 
 
 def interval(g: Graph, s: Iterable[int]) -> frozenset[int]:
@@ -146,16 +161,20 @@ class PercolationTrace:
 
 
 def percolate(g: Graph, s: Iterable[int]) -> PercolationTrace:
-    """Run the infection process from s until it stabilizes."""
-    rounds = list(_spread(_adjacency_masks(g), _mask_of(g, s)))
-    return PercolationTrace(
-        rounds=tuple(_members(m) for m in rounds),
-        time_of=tuple(
-            next((t for t, m in enumerate(rounds) if m >> v & 1), None)
-            for v in range(g.n)
-        ),
-        percolated=rounds[-1] == (1 << g.n) - 1,
-    )
+    """Run the infection process from s until it stabilizes.
+
+    The trace lists every round as a set, so it is inherently O(n·t) for t rounds.
+    """
+    rounds: list[frozenset[int]] = []
+    time_of: list[Optional[int]] = [None] * g.n
+    infected = 0
+    for t, m in enumerate(_spread(_adjacency_masks(g), _mask_of(g, s))):
+        fresh = _members(m ^ infected)
+        for v in fresh:
+            time_of[v] = t
+        rounds.append(rounds[-1] | fresh if rounds else fresh)
+        infected = m
+    return PercolationTrace(tuple(rounds), tuple(time_of), infected == (1 << g.n) - 1)
 
 
 def hull_closure(g: Graph, s: Iterable[int]) -> frozenset[int]:

@@ -2,7 +2,10 @@
 
 The acceptance module registers one line per criterion here; the hook
 reprints them after the run so the verdicts are visible without -s.
+The exhaustive graph corpus is built once per session and shared.
 """
+
+import pytest
 
 _criterion_lines: list[str] = []
 
@@ -23,3 +26,11 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.section("acceptance criteria")
     for line in _criterion_lines:
         terminalreporter.write_line(line)
+
+
+@pytest.fixture(scope="session")
+def connected_graphs_up_to_7():
+    """Every connected graph on 1 to 7 vertices, up to isomorphism (996 graphs)."""
+    from p3conv.generators import connected_graphs
+
+    return [g for n in range(1, 8) for g in connected_graphs(n)]

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chainutil import chain_graph, interval_systems
 from p3conv.generators import connected_graphs
 from p3conv.graph import Graph
 from p3conv.oracle import (
@@ -16,6 +17,11 @@ from p3conv.oracle import (
     percolate,
     percolation_time_bruteforce,
     vertex_percolation_time_bruteforce,
+    _adjacency_masks,
+    _mask_of,
+    _percolating_rounds,
+    _spread,
+    _start_sets,
 )
 
 
@@ -220,3 +226,60 @@ def test_percolation_time_is_max_vertex_time(data):
     whole = percolation_time_bruteforce(g)
     per_vertex = max(vertex_percolation_time_bruteforce(g, v) for v in range(g.n))
     assert whole == per_vertex
+
+
+@given(graph_and_sets())
+def test_spread_is_monotone_in_the_start_set(data):
+    # The lemma the minimal-set pruning rests on: if S is a subset of T,
+    # round i from T contains round i from S, each list padded with its
+    # last round.
+    g, s, t = data
+    masks = _adjacency_masks(g)
+    small = list(_spread(masks, _mask_of(g, s)))
+    big = list(_spread(masks, _mask_of(g, t)))
+    rounds = max(len(small), len(big))
+    small += small[-1:] * (rounds - len(small))
+    big += big[-1:] * (rounds - len(big))
+    assert all(a & ~b == 0 for a, b in zip(small, big))
+    assert hull_closure(g, s) <= hull_closure(g, t)
+
+
+def exhaustive_search(g):
+    """Percolation time, per-vertex times and minimal sets over every percolating start set.
+
+    The search as it was before the minimal-set pruning: spread every start
+    set from ``_start_sets`` to its fixpoint.
+    """
+    masks = _adjacency_masks(g)
+    full = (1 << g.n) - 1
+    whole, per_vertex, percolating = 0, [0] * g.n, {}
+    for s, free in _start_sets(masks):
+        rounds = list(_spread(masks, s))
+        if rounds[-1] != full:
+            continue
+        percolating[s] = free
+        whole = max(whole, len(rounds) - 1)
+        for t in range(1, len(rounds)):
+            fresh = rounds[t] ^ rounds[t - 1]
+            for v in range(g.n):
+                if fresh >> v & 1:
+                    per_vertex[v] = max(per_vertex[v], t)
+    minimal = {
+        s for s, free in percolating.items() if not any(s ^ b in percolating for b in free)
+    }
+    return whole, per_vertex, minimal
+
+
+def test_pruned_search_matches_every_start_set(connected_graphs_up_to_7):
+    graphs = connected_graphs_up_to_7 + [
+        chain_graph(n, cliques) for n in range(2, 9) for cliques in interval_systems(n)
+    ]
+    assert len(graphs) == 996 + 1 + 2 + 5 + 14 + 42 + 132 + 429
+    for g in graphs:
+        whole, per_vertex, minimal = exhaustive_search(g)
+        run = [rounds[0] for rounds in _percolating_rounds(_adjacency_masks(g))]
+        assert sorted(run) == sorted(minimal), g.edges()
+        assert percolation_time_bruteforce(g) == whole, g.edges()
+        if g.n <= 6:
+            got = [vertex_percolation_time_bruteforce(g, v) for v in range(g.n)]
+            assert got == per_vertex, g.edges()
