@@ -19,6 +19,7 @@ from .oracle import (
     DEFAULT_HULL_CAP,
     DEFAULT_PROPERTY_CAP,
     DEFAULT_TIME_CAP,
+    P3Parameters,
     PercolationTrace,
     geodetic_number_bruteforce,
     hull_closure,
@@ -26,6 +27,7 @@ from .oracle import (
     interval,
     interval_idempotent_bruteforce,
     minimum_hull_sets,
+    p3_parameters_bruteforce,
     percolate,
     percolation_time_bruteforce,
     vertex_percolation_time_bruteforce,
@@ -58,7 +60,6 @@ from .hereditary import (
     FORBIDDEN_PATTERNS,
     CrosscheckReport,
     ForbiddenPattern,
-    check_hg_equality,
     crosscheck_interval_idempotence,
     find_forbidden_patterns,
     interval_idempotent_by_patterns,

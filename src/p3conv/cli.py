@@ -41,12 +41,7 @@ from .graphio import (
     serialize_documents,
 )
 from .hereditary import crosscheck_interval_idempotence, find_forbidden_patterns
-from .oracle import (
-    CapExceeded,
-    geodetic_number_bruteforce,
-    hull_number_bruteforce,
-    percolation_time_bruteforce,
-)
+from .oracle import CapExceeded, p3_parameters_bruteforce, percolation_time_bruteforce
 from .unit_interval import (
     build_model,
     cut_segments,
@@ -215,12 +210,11 @@ def _cmd_analyze(args) -> int:
 
     exit_code = 0
     if args.oracle:
-        oracle_values = {
-            "geodetic_number": geodetic_number_bruteforce(g, args.max_oracle_n),
-            "hull_number": hull_number_bruteforce(g, args.max_oracle_n),
-        }
-        if g.is_connected():
-            oracle_values["percolation_time"] = percolation_time_bruteforce(g, args.max_oracle_n)
+        oracle_values = p3_parameters_bruteforce(g, args.max_oracle_n)._asdict()
+        if not g.is_connected():
+            del oracle_values["percolation_time"]
+        elif oracle_values["percolation_time"] is None:
+            percolation_time_bruteforce(g, args.max_oracle_n)  # raises CapExceeded
         payload["oracle"] = oracle_values
         agreement = {
             key: formula_values[key] == oracle_values[key]

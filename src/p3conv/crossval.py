@@ -4,7 +4,7 @@ Each suite generates a corpus, computes every parameter twice (formula and
 oracle) and returns a report of per-check rows.  Every suite takes max_n,
 which bounds its instance sizes, and cap, which it passes to every oracle
 call; None keeps the suite's or the oracle's default.  A check whose oracle
-raises CapExceeded is recorded as skipped rather than silently dropped.
+raises CapExceeded, or gives None, is recorded as skipped rather than dropped.
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ from .graphio import to_graph6
 from .hereditary import idempotence_corpus, interval_idempotent_by_patterns
 from .oracle import (
     CapExceeded,
-    geodetic_number_bruteforce,
-    hull_number_bruteforce,
     interval_idempotent_bruteforce,
+    p3_parameters_bruteforce,
     percolation_time_bruteforce,
 )
 from .unit_interval import (
@@ -153,13 +152,15 @@ def caterpillar_suite(
     three leaves on each profile-4 position; the random caterpillars have at
     most min(14, max_n) vertices.  max_n, when given, drops larger instances
     from the corpus entirely; the oracle caps only skip individual checks.
+    One p3_parameters_bruteforce search per instance gives all three oracle
+    values, and each row's seconds count that search plus its formula.
     """
     rows: list[CheckRow] = []
     skipped: list[str] = []
     plan = [
-        ("geodetic_number", geodetic_number, geodetic_number_bruteforce),
-        ("hull_number", hull_number, hull_number_bruteforce),
-        ("percolation_time", caterpillar_percolation_time, percolation_time_bruteforce),
+        ("geodetic_number", geodetic_number),
+        ("hull_number", hull_number),
+        ("percolation_time", caterpillar_percolation_time),
     ]
 
     def handle(instance, g):
@@ -168,8 +169,18 @@ def caterpillar_suite(
         struct = recognize_caterpillar(g)
         if struct is None:
             raise AssertionError(f"{instance}: generated graph is not a caterpillar")
-        for param, ffn, ofn in plan:
-            _check(rows, skipped, instance, param, lambda: ffn(struct), lambda: ofn(g, cap))
+        t0 = perf_counter()
+        try:
+            oracle = p3_parameters_bruteforce(g, cap)
+        except CapExceeded:
+            oracle = (None,) * len(plan)
+        search = perf_counter() - t0
+        for (param, ffn), ov in zip(plan, oracle):
+            if ov is None:
+                skipped.append(f"{instance}/{param}")
+                continue
+            t0 = perf_counter()
+            rows.append(CheckRow(instance, param, ffn(struct), ov, search + perf_counter() - t0))
 
     for rds in spine_sequences(spine_max):
         tag = "".join(str(d) for d in rds)

@@ -28,12 +28,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .graph import Graph, contains_induced
-from .oracle import (
-    CapExceeded,
-    geodetic_number_bruteforce,
-    hull_number_bruteforce,
-    interval_idempotent_bruteforce,
-)
+from .oracle import CapExceeded, interval_idempotent_bruteforce
 from .graphio import to_graph6
 from .generators import DEFAULT_SEED, connected_graphs, random_connected_graph
 
@@ -147,8 +142,3 @@ def crosscheck_interval_idempotence(
         forward_violations=tuple(sorted(forward, key=key)),
         reverse_findings=tuple(sorted(reverse, key=key)),
     )
-
-
-def check_hg_equality(g: Graph, max_n: int = 16) -> bool:
-    """Whether the one-round and iterated minimum set sizes coincide for g."""
-    return geodetic_number_bruteforce(g, max_n) == hull_number_bruteforce(g, max_n)

@@ -5,8 +5,8 @@ and infection never recedes.  Everything here enumerates vertex subsets
 directly, so it is exponential by design: these functions exist to validate
 the closed-form results on small graphs, not to be fast.
 
-Every public function is a short reduction over one core of two private
-pieces, on vertex sets held as bitmasks (bit v stands for vertex v):
+Every public function is a short reduction over a few private pieces, on
+vertex sets held as bitmasks (bit v stands for vertex v):
 
 - ``_spread`` runs the process from a start set and yields the infected set
   after each round, from round 0 until a round infects nothing.  It keeps
@@ -21,21 +21,26 @@ pieces, on vertex sets held as bitmasks (bit v stands for vertex v):
   from 0 and the sets of one size in ``itertools.combinations`` order.
   Folding the forced vertices in up front shrinks the search space without
   changing any answer, and the empty graph gets the empty start set.
+- ``_search`` is the one pass over ``_start_sets`` behind every parameter
+  oracle, for one parameter or for all three at once.
 
-The hull and geodetic numbers are the smallest size of a start set that
-covers the graph, eventually or in one round.  The percolation times are
-maxima over the round lists of the inclusion-minimal start sets that cover
-it: if S is a subset of T, each round from T contains the same round from S,
-so T percolates when S does and infects every vertex no later.  A set one
-free vertex above a percolating set is recorded as percolating, unrun, and
-the search stops after the first size where every start set percolates.
+The percolation times are maxima over the inclusion-minimal start sets that
+cover the graph: if S is a subset of T, each round from T contains the same
+round from S, so T percolates when S does and infects every vertex no later.
+So the search spreads a set only when no set one free vertex smaller
+percolates, and it stops spreading after the first size where every start
+set percolates.  Every set below the hull number stalls and is spread, so
+the first percolating set met has the hull number's size.  A set that
+covers the graph in one round is a hull set, so the geodetic number is at
+least the hull number: the search tests each percolating set for a one-round
+cover, and goes on past the spreading only until one turns up.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, compress, count, islice
-from typing import Iterable, Iterator, Optional
+from itertools import chain, combinations, compress, count, islice
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .graph import Graph
 
@@ -105,40 +110,68 @@ def _start_sets(masks: list[int]) -> Iterator[tuple[int, tuple[int, ...]]]:
             yield forced | sum(combo), combo
 
 
-def _smallest_covers(masks: list[int], stop: Optional[int] = None) -> Iterator[int]:
-    """Start sets of the smallest size that infect every vertex within stop - 1 rounds.
+def _covers_in_one_round(masks: list[int], start: int) -> bool:
+    """Whether every vertex outside start has two neighbors in it."""
+    rest = ~start & ((1 << len(masks)) - 1)
+    while rest:
+        low = rest & -rest
+        if (masks[low.bit_length() - 1] & start).bit_count() < 2:
+            return False
+        rest ^= low
+    return True
 
-    Lazy and in enumeration order.  ``stop=None`` runs each start set to its
-    fixpoint (hull sets); ``stop=2`` allows one round (geodetic sets).
+
+def _search(
+    masks: list[int], watch: Optional[int], geodetic: bool
+) -> Iterator[tuple[int, Optional[int], bool]]:
+    """Percolating start sets by rising size, as (s, t, one_round).
+
+    Yields each set it spreads that percolates, t the last round infecting a
+    vertex of watch, and with geodetic set the first one-round cover, with
+    one_round True (t None if it was not spread).  Spreading stops after the
+    first size where all sets percolate, with watch 0 where any does, and
+    with watch None at once; one-round tests then run to the first cover.
     """
     full = (1 << len(masks)) - 1
-    size = len(masks)
-    for s, _ in _start_sets(masks):
-        if s.bit_count() > size:
-            return
-        for last in islice(_spread(masks, s), stop):
-            pass
-        if last == full:
-            size = s.bit_count()
-            yield s
-
-
-def _percolating_rounds(masks: list[int]) -> Iterator[list[int]]:
-    """Round lists of the minimal start sets whose infection reaches every vertex."""
-    full = (1 << len(masks)) - 1
-    smaller, percolating, size, stalled = set(), set(), 0, False
-    for s, free in _start_sets(masks):
+    smaller, percolating, stalled = set(), set(), False
+    size = 0 if watch is not None else -1
+    sets = _start_sets(masks)
+    for s, free in sets:
         if len(free) > size:
-            if not stalled:
-                return
+            if not stalled or not watch and percolating:
+                break
             smaller, percolating, size, stalled = percolating, set(), len(free), False
-        if smaller.isdisjoint(map(s.__xor__, free)):
-            rounds = list(_spread(masks, s))
-            if rounds[-1] != full:
+        if not smaller or smaller.isdisjoint(map(s.__xor__, free)):
+            once = twice = t = r = 0
+            infected = fresh = s
+            while fresh:
+                while fresh:
+                    low = fresh & -fresh
+                    nbrs = masks[low.bit_length() - 1]
+                    twice |= once & nbrs
+                    once |= nbrs
+                    fresh ^= low
+                fresh = twice & ~infected
+                infected |= fresh
+                r += 1
+                if fresh & watch:
+                    t = r
+            if infected != full:
                 stalled = True
                 continue
-            yield rounds
+        else:
+            t = None
         percolating.add(s)
+        one_round = geodetic and _covers_in_one_round(masks, s)
+        if one_round:
+            geodetic = False
+        if one_round or t is not None:
+            yield s, t, one_round
+    if geodetic:
+        for s in chain((s,), (m for m, _ in sets)):
+            if _covers_in_one_round(masks, s):
+                yield s, None, True
+                return
 
 
 def interval(g: Graph, s: Iterable[int]) -> frozenset[int]:
@@ -185,25 +218,26 @@ def hull_closure(g: Graph, s: Iterable[int]) -> frozenset[int]:
 def hull_number_bruteforce(g: Graph, max_n: Optional[int] = None) -> int:
     """Minimum size of a set whose closure is the whole vertex set."""
     _require_within(g, max_n, DEFAULT_HULL_CAP, "hull number search")
-    return next(_smallest_covers(_adjacency_masks(g))).bit_count()
+    return next(_search(_adjacency_masks(g), 0, False))[0].bit_count()
 
 
 def minimum_hull_sets(g: Graph, max_n: Optional[int] = None) -> list[frozenset[int]]:
     """All minimum-size sets whose closure is the whole vertex set."""
     _require_within(g, max_n, DEFAULT_HULL_CAP, "hull set search")
-    return [_members(s) for s in _smallest_covers(_adjacency_masks(g))]
+    return [_members(s) for s, _, _ in _search(_adjacency_masks(g), 0, False)]
 
 
 def geodetic_number_bruteforce(g: Graph, max_n: Optional[int] = None) -> int:
     """Minimum size of a set that covers the whole graph in a single round."""
     _require_within(g, max_n, DEFAULT_HULL_CAP, "geodetic number search")
-    return next(_smallest_covers(_adjacency_masks(g), 2)).bit_count()
+    return next(_search(_adjacency_masks(g), None, True))[0].bit_count()
 
 
 def percolation_time_bruteforce(g: Graph, max_n: Optional[int] = None) -> int:
     """Largest number of rounds any percolating set needs to cover the graph."""
     _require_within(g, max_n, DEFAULT_TIME_CAP, "percolation time search")
-    return max(len(rounds) - 1 for rounds in _percolating_rounds(_adjacency_masks(g)))
+    covers = _search(_adjacency_masks(g), (1 << g.n) - 1, False)
+    return max(t for _, t, _ in covers if t is not None)
 
 
 def vertex_percolation_time_bruteforce(
@@ -211,10 +245,31 @@ def vertex_percolation_time_bruteforce(
 ) -> int:
     """Latest round at which v gets infected, over all percolating start sets."""
     _require_within(g, max_n, DEFAULT_TIME_CAP, "vertex percolation time search")
-    bit = _mask_of(g, (v,))
-    return max(
-        next(t for t, m in enumerate(rounds) if m & bit)
-        for rounds in _percolating_rounds(_adjacency_masks(g))
+    covers = _search(_adjacency_masks(g), _mask_of(g, (v,)), False)
+    return max(t for _, t, _ in covers if t is not None)
+
+
+class P3Parameters(NamedTuple):
+    """The three parameters; percolation_time is None above the time cap."""
+
+    geodetic_number: int
+    hull_number: int
+    percolation_time: Optional[int]
+
+
+def p3_parameters_bruteforce(g: Graph, max_n: Optional[int] = None) -> P3Parameters:
+    """Geodetic number, hull number and percolation time from one start-set search.
+
+    Raises CapExceeded above the hull and geodetic cap, naming the geodetic
+    number search; above the smaller time cap the percolation time is None.
+    """
+    _require_within(g, max_n, DEFAULT_HULL_CAP, "geodetic number search")
+    timed = g.n <= (DEFAULT_TIME_CAP if max_n is None else max_n)
+    covers = list(_search(_adjacency_masks(g), (1 << g.n) - 1 if timed else 0, True))
+    return P3Parameters(
+        next(s for s, _, one_round in covers if one_round).bit_count(),
+        covers[0][0].bit_count(),
+        max(t for _, t, _ in covers if t is not None) if timed else None,
     )
 
 

@@ -8,6 +8,7 @@ import pytest
 
 import p3conv.cli
 import p3conv.graph
+import p3conv.oracle
 from p3conv import unit_interval
 from p3conv.caterpillar import (
     geodetic_number,
@@ -421,6 +422,60 @@ def test_analyze_oracle_cap_of_zero_is_a_cap(capsys, p4_file):
     rc, out, err = run(capsys, "analyze", p4_file, "--oracle", "--max-oracle-n", "0")
     assert (rc, out) == (3, "")
     assert err == "error: geodetic number search enumerates subsets of 4 vertices; cap is 0\n"
+
+
+@pytest.mark.parametrize(
+    "text, extra, rc, out, err",
+    [
+        # connected and over the time cap only: exit 3 names the time search
+        (
+            "19\n" + "".join(f"0 {v}\n" for v in range(1, 19)),
+            (),
+            3,
+            "",
+            "error: percolation time search enumerates subsets of 19 vertices; cap is 18\n",
+        ),
+        # disconnected: no oracle.percolation_time line
+        (
+            "5\n0 1\n1 2\n3 4\n",
+            (),
+            0,
+            "vertices: 5\nedge_count: 3\nclass: unit-interval\norder: 4 3 2 1 0\n"
+            "cliques: 0 1 2 3 3 4\nsingular_positions: 3\nconnected: no\n"
+            "oracle.geodetic_number: 4\noracle.hull_number: 4\n",
+            "",
+        ),
+        # a cap of 0 still admits the empty graph
+        (
+            "0\n",
+            ("--max-oracle-n", "0"),
+            0,
+            "vertices: 0\nedge_count: 0\nclass: unit-interval\norder: \ncliques: \n"
+            "singular_positions: \npercolation_time: 0\noracle.geodetic_number: 0\n"
+            "oracle.hull_number: 0\noracle.percolation_time: 0\nagreement.percolation_time: yes\n",
+            "",
+        ),
+    ],
+    ids=["connected-over-time-cap", "disconnected", "empty-at-cap-0"],
+)
+def test_analyze_oracle_caps_and_disconnected_graphs(capsys, tmp_path, text, extra, rc, out, err):
+    f = tmp_path / "doc.txt"
+    f.write_text(text)
+    assert run(capsys, "analyze", str(f), "--oracle", *extra) == (rc, out, err)
+
+
+def test_analyze_oracle_runs_one_search(capsys, c4_file, monkeypatch):
+    searches = []
+    search = p3conv.oracle._search
+
+    def counted(*args):
+        searches.append(args[1:])
+        return search(*args)
+
+    monkeypatch.setattr(p3conv.oracle, "_search", counted)
+    rc, out, _ = run(capsys, "analyze", c4_file, "--oracle")
+    assert rc == 0 and "oracle.percolation_time: 1" in out
+    assert searches == [(15, True)]
 
 
 def test_parse_error_exits_one_with_its_line(capsys, tmp_path):

@@ -4,7 +4,6 @@ from p3conv.generators import connected_graphs
 from p3conv.graph import Graph, contains_induced
 from p3conv.hereditary import (
     FORBIDDEN_PATTERNS,
-    check_hg_equality,
     crosscheck_interval_idempotence,
     find_forbidden_patterns,
     interval_idempotent_by_patterns,
@@ -13,6 +12,7 @@ from p3conv.oracle import (
     geodetic_number_bruteforce,
     hull_number_bruteforce,
     interval_idempotent_bruteforce,
+    p3_parameters_bruteforce,
 )
 
 
@@ -107,5 +107,6 @@ def test_hull_equals_geodetic_on_idempotent_graphs():
     for n in range(2, 6):
         for g in connected_graphs(n):
             if interval_idempotent_bruteforce(g):
-                assert check_hg_equality(g)
+                params = p3_parameters_bruteforce(g)
+                assert params.hull_number == params.geodetic_number
                 assert hull_number_bruteforce(g) == geodetic_number_bruteforce(g)

@@ -14,12 +14,13 @@ from p3conv.oracle import (
     interval,
     interval_idempotent_bruteforce,
     minimum_hull_sets,
+    p3_parameters_bruteforce,
     percolate,
     percolation_time_bruteforce,
     vertex_percolation_time_bruteforce,
     _adjacency_masks,
     _mask_of,
-    _percolating_rounds,
+    _search,
     _spread,
     _start_sets,
 )
@@ -147,6 +148,14 @@ def test_caps_raise():
         interval_idempotent_bruteforce(path(17))
     # explicit override lifts the cap
     assert percolation_time_bruteforce(path(19), max_n=19) == 1
+    # the three parameters at once: the time is None above its own cap
+    with pytest.raises(CapExceeded, match="geodetic number search"):
+        p3_parameters_bruteforce(big)
+    star = Graph(19, [(0, v) for v in range(1, 19)])
+    assert p3_parameters_bruteforce(star) == (18, 18, None)
+    assert p3_parameters_bruteforce(star, max_n=19) == (18, 18, 1)
+    with pytest.raises(CapExceeded):
+        p3_parameters_bruteforce(star, max_n=18)
 
 
 @st.composite
@@ -228,6 +237,24 @@ def test_percolation_time_is_max_vertex_time(data):
     assert whole == per_vertex
 
 
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(min_value=0, max_value=9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(n, edges)
+
+
+@settings(max_examples=60)
+@given(small_graphs())
+def test_parameters_match_the_standalone_oracles(g):
+    assert p3_parameters_bruteforce(g) == (
+        geodetic_number_bruteforce(g),
+        hull_number_bruteforce(g),
+        percolation_time_bruteforce(g),
+    )
+
+
 @given(graph_and_sets())
 def test_spread_is_monotone_in_the_start_set(data):
     # The lemma the minimal-set pruning rests on: if S is a subset of T,
@@ -245,19 +272,24 @@ def test_spread_is_monotone_in_the_start_set(data):
 
 
 def exhaustive_search(g):
-    """Percolation time, per-vertex times and minimal sets over every percolating start set.
+    """Geodetic and hull numbers, percolation time, per-vertex times and minimal sets.
 
     The search as it was before the minimal-set pruning: spread every start
-    set from ``_start_sets`` to its fixpoint.
+    set from ``_start_sets`` to its fixpoint.  The geodetic and hull numbers
+    are the sizes of the smallest one-round cover and closure cover.
     """
     masks = _adjacency_masks(g)
     full = (1 << g.n) - 1
+    geodetic = hull = g.n
     whole, per_vertex, percolating = 0, [0] * g.n, {}
     for s, free in _start_sets(masks):
         rounds = list(_spread(masks, s))
         if rounds[-1] != full:
             continue
         percolating[s] = free
+        hull = min(hull, s.bit_count())
+        if len(rounds) <= 2:
+            geodetic = min(geodetic, s.bit_count())
         whole = max(whole, len(rounds) - 1)
         for t in range(1, len(rounds)):
             fresh = rounds[t] ^ rounds[t - 1]
@@ -267,7 +299,7 @@ def exhaustive_search(g):
     minimal = {
         s for s, free in percolating.items() if not any(s ^ b in percolating for b in free)
     }
-    return whole, per_vertex, minimal
+    return geodetic, hull, whole, per_vertex, minimal
 
 
 def test_pruned_search_matches_every_start_set(connected_graphs_up_to_7):
@@ -276,10 +308,11 @@ def test_pruned_search_matches_every_start_set(connected_graphs_up_to_7):
     ]
     assert len(graphs) == 996 + 1 + 2 + 5 + 14 + 42 + 132 + 429
     for g in graphs:
-        whole, per_vertex, minimal = exhaustive_search(g)
-        run = [rounds[0] for rounds in _percolating_rounds(_adjacency_masks(g))]
+        geodetic, hull, whole, per_vertex, minimal = exhaustive_search(g)
+        run = [s for s, _, _ in _search(_adjacency_masks(g), (1 << g.n) - 1, False)]
         assert sorted(run) == sorted(minimal), g.edges()
         assert percolation_time_bruteforce(g) == whole, g.edges()
+        assert p3_parameters_bruteforce(g) == (geodetic, hull, whole), g.edges()
         if g.n <= 6:
             got = [vertex_percolation_time_bruteforce(g, v) for v in range(g.n)]
             assert got == per_vertex, g.edges()
