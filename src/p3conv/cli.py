@@ -41,7 +41,13 @@ from .graphio import (
     serialize_documents,
 )
 from .hereditary import crosscheck_interval_idempotence, find_forbidden_patterns
-from .oracle import CapExceeded, p3_parameters_bruteforce, percolation_time_bruteforce
+from .oracle import (
+    DEFAULT_HULL_CAP,
+    DEFAULT_TIME_CAP,
+    CapExceeded,
+    _require_within,
+    p3_parameters_bruteforce,
+)
 from .unit_interval import (
     build_model,
     cut_segments,
@@ -119,9 +125,40 @@ def _build_parser() -> _Parser:
     return p
 
 
+_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _json_text(value, depth: int = 0) -> str:
+    """Exactly json.dumps(value, indent=2, sort_keys=True), dict keys being strings.
+
+    json.dumps takes its C encoder only without an indent, so the nesting is
+    written here; a scalar, and a list or dict holding only scalars, goes
+    through the C encoder whole, with the newline and indent as its item
+    separator.
+    """
+    if isinstance(value, dict):
+        brackets, members = "{}", value.values()
+    elif isinstance(value, (list, tuple)):
+        brackets, members = "[]", value
+    else:
+        return json.dumps(value)
+    if not value:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    if set(map(type, members)) <= _JSON_SCALARS:
+        body = json.dumps(value, separators=("," + pad, ": "), sort_keys=True)[1:-1]
+    elif brackets == "{}":
+        body = ("," + pad).join(
+            f"{json.dumps(k)}: {_json_text(v, depth + 1)}" for k, v in sorted(value.items())
+        )
+    else:
+        body = ("," + pad).join(_json_text(v, depth + 1) for v in value)
+    return brackets[0] + pad + body + pad[:-2] + brackets[1]
+
+
 def _print_payload(payload: dict, fmt: str) -> None:
     if fmt == "object":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json_text(payload))
         return
     for key, value in payload.items():
         if isinstance(value, dict):
@@ -210,11 +247,15 @@ def _cmd_analyze(args) -> int:
 
     exit_code = 0
     if args.oracle:
+        connected = g.is_connected()
+        if connected:
+            # A connected graph needs its time: refuse before searching, the
+            # hull cap first as p3_parameters_bruteforce does.
+            _require_within(g, args.max_oracle_n, DEFAULT_HULL_CAP, "geodetic number search")
+            _require_within(g, args.max_oracle_n, DEFAULT_TIME_CAP, "percolation time search")
         oracle_values = p3_parameters_bruteforce(g, args.max_oracle_n)._asdict()
-        if not g.is_connected():
+        if not connected:
             del oracle_values["percolation_time"]
-        elif oracle_values["percolation_time"] is None:
-            percolation_time_bruteforce(g, args.max_oracle_n)  # raises CapExceeded
         payload["oracle"] = oracle_values
         agreement = {
             key: formula_values[key] == oracle_values[key]
@@ -268,7 +309,7 @@ def _cmd_crossval(args) -> int:
     report = _CROSSVAL_SUITES[args.suite](seed=args.seed, max_n=args.max_n, cap=args.max_oracle_n)
 
     if args.format == "object":
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        print(_json_text(report.to_dict()))
     else:
         sys.stdout.write(report.to_text())
     if report.skipped:
@@ -289,7 +330,7 @@ def _cmd_propcheck(args) -> int:
             "forward_violations": [d.__dict__ for d in report.forward_violations],
             "reverse_findings": [d.__dict__ for d in report.reverse_findings],
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json_text(payload))
     else:
         print(f"graphs checked: {report.checked} (sizes up to {report.max_n})")
         print(f"forward violations (pattern present, still idempotent): {len(report.forward_violations)}")

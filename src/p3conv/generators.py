@@ -109,30 +109,56 @@ def _min_mask(adj: list[int]) -> int:
     return mask
 
 
+def _class_key(adj: list[int]) -> tuple[int, ...]:
+    """An isomorphism invariant that is exact on connected graphs up to 7 vertices.
+
+    Each vertex gives the multiset of its neighbours' degrees as a sum of
+    8 ** degree (at most six neighbours, so no base-8 digit carries into
+    bit 21), plus twice its triangle count from bit 21 up; the key is these
+    values sorted.  Isomorphic graphs get equal keys, and connected graphs
+    with at most 7 vertices get equal keys only when isomorphic: the classes
+    on 1 to 7 vertices (1, 1, 2, 6, 21, 112, 853) get as many keys.
+    """
+    weight = [8 ** a.bit_count() for a in adj]
+    key = []
+    for a in adj:
+        x = 0
+        rest = a
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            x += weight[u] + ((adj[u] & a).bit_count() << 21)
+            rest ^= low
+        key.append(x)
+    key.sort()
+    return tuple(key)
+
+
 def connected_graphs(n: int) -> Iterator[Graph]:
     """Every connected graph on n vertices, one per isomorphism class.
 
     Feasible up to n = 7.  Deleting a leaf of a spanning tree leaves a graph
     connected, so every connected graph on k + 1 vertices is one on k
     vertices plus a vertex with at least one neighbour.  The graphs are grown
-    one vertex at a time, each size deduplicated by its smallest edge mask
-    (any member of a class grows into the same classes), and yielded in
-    increasing mask order: the first mask of each class.
+    one vertex at a time, each size deduplicated by ``_class_key`` (any
+    member of a class grows into the same classes).  Each class of the last
+    size is then canonicalized once by ``_min_mask`` and the classes are
+    yielded in increasing mask order: the first mask of each class.
     """
     if n < 1:
         return
     if n > 7:
         raise ValueError("exhaustive enumeration is only feasible up to 7 vertices")
-    level = {0: [0]}  # smallest edge mask -> adjacency masks of one member
+    level = [[0]]  # adjacency masks of one member per class
     for k in range(1, n):
         grown = {}
-        for adj in level.values():
+        for adj in level:
             for nbrs in range(1, 1 << k):
                 bigger = [a | (nbrs >> v & 1) << k for v, a in enumerate(adj)] + [nbrs]
-                grown[_min_mask(bigger)] = bigger
-        level = grown
+                grown[_class_key(bigger)] = bigger
+        level = grown.values()
     pairs = list(combinations(range(n), 2))
-    for mask in sorted(level):
+    for mask in sorted(map(_min_mask, level)):
         yield Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
 
 

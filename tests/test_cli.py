@@ -5,6 +5,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import p3conv.cli
 import p3conv.graph
@@ -476,6 +477,86 @@ def test_analyze_oracle_runs_one_search(capsys, c4_file, monkeypatch):
     rc, out, _ = run(capsys, "analyze", c4_file, "--oracle")
     assert rc == 0 and "oracle.percolation_time: 1" in out
     assert searches == [(15, True)]
+
+
+def test_analyze_oracle_checks_the_time_cap_before_searching(capsys, tmp_path, monkeypatch):
+    searches = []
+    search = p3conv.oracle._search
+
+    def counted(*args):
+        searches.append(args[1:])
+        return search(*args)
+
+    monkeypatch.setattr(p3conv.oracle, "_search", counted)
+    f = tmp_path / "path19.txt"
+    f.write_text(serialize_document(document_for(Graph.path(19))))
+    rc, out, err = run(capsys, "analyze", str(f), "--oracle")
+    assert (rc, out) == (3, "")
+    assert err == "error: percolation time search enumerates subsets of 19 vertices; cap is 18\n"
+    assert searches == []
+
+
+JSON_PAYLOADS = [
+    {},
+    [],
+    {"spine": [], "cliques": [], "factors": [], "oracle": {}},
+    {"cliques": [[0, 2], [1, 3], [3, 4]], "order": [4, 3, 2, 1, 0], "class": "unit-interval"},
+    {"oracle": {"geodetic_number": 2, "hull_number": 2, "percolation_time": None}},
+    {"agreement": {"percolation_time": True, "hull_number": False}, "connected": False},
+    {"rows": [{"seconds": 0.000123, "agree": True, "oracle": None, "formula": 3}], "skipped": []},
+    {"seconds": [1e-07, 2.5, -0.0, 1e22], "counts": (1, 2, 3)},
+    {"name": "Grünbaum ↔ 图 \u2028 \"q\"\\", "vertices": 3},
+    [None, True, "x", [[]], {}, [{}], {"a": []}],
+    {
+        "max_n": 5,
+        "checked": 29,
+        "forward_violations": [],
+        "reverse_findings": [
+            {
+                "graph6": "D]_",
+                "vertex_count": 5,
+                "edges": ((0, 2), (0, 3), (1, 3), (1, 4), (2, 4)),
+                "pattern_free": True,
+                "idempotent": False,
+            }
+        ],
+    },
+]
+
+
+@pytest.mark.parametrize("payload", JSON_PAYLOADS)
+def test_json_text_matches_json_dumps(payload):
+    assert p3conv.cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+        lambda inner: st.lists(inner) | st.tuples(inner, inner) | st.dictionaries(st.text(max_size=8), inner),
+        max_leaves=20,
+    )
+)
+def test_json_text_matches_json_dumps_on_any_value(value):
+    assert p3conv.cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_object_output_matches_json_dumps(capsys, tmp_path, uig9_file):
+    rng = random.Random(3)
+    cat = tmp_path / "cat.txt"
+    cat.write_text(
+        serialize_document(
+            document_for(shuffle_labels(rng, realize_caterpillar((1, 4, 3, 2, 4, 1))), name="raupe-ü")
+        )
+    )
+    for argv in (
+        ["analyze", str(cat), "--format", "object", "--oracle"],
+        ["analyze", uig9_file, "--format", "object", "--oracle"],
+        ["crossval", "uig", "--max-n", "4", "--format", "object"],
+        ["propcheck", "--max-n", "5", "--format", "object"],
+    ):
+        _, out, _ = run(capsys, *argv)
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv
 
 
 def test_parse_error_exits_one_with_its_line(capsys, tmp_path):

@@ -4,6 +4,8 @@ from itertools import combinations, permutations
 from p3conv.caterpillar import recognize_caterpillar
 from p3conv.generators import (
     DEFAULT_SEED,
+    _class_key,
+    _min_mask,
     connected_graphs,
     random_biconnected_chain,
     random_caterpillar,
@@ -68,7 +70,24 @@ def test_random_tree():
 
 
 def test_connected_graphs_counts():
-    assert [sum(1 for _ in connected_graphs(n)) for n in range(1, 7)] == [1, 1, 2, 6, 21, 112]
+    # OEIS A001349; 853 classes at n = 7 also show _class_key exact there.
+    counts = [1, 1, 2, 6, 21, 112, 853]
+    assert [sum(1 for _ in connected_graphs(n)) for n in range(1, 8)] == counts
+
+
+def test_class_key_agrees_with_the_smallest_edge_mask():
+    """Every one-vertex extension of every class on 1 to 5 vertices: equal
+    keys exactly when equal smallest edge masks, so each key names one class."""
+    for k in range(1, 6):
+        pairs = set()
+        for g in connected_graphs(k):
+            adj = [sum(1 << w for w in g.adj(v)) for v in range(k)]
+            for nbrs in range(1, 1 << k):
+                bigger = [a | (nbrs >> v & 1) << k for v, a in enumerate(adj)] + [nbrs]
+                pairs.add((_class_key(bigger), _min_mask(bigger)))
+        keys = {key for key, _ in pairs}
+        masks = {mask for _, mask in pairs}
+        assert len(keys) == len(masks) == len(pairs), k + 1
 
 
 def reference_connected_graphs(n):
