@@ -20,7 +20,6 @@ from .oracle import (
     DEFAULT_PROPERTY_CAP,
     DEFAULT_TIME_CAP,
     P3Parameters,
-    PercolationTrace,
     geodetic_number_bruteforce,
     hull_closure,
     hull_number_bruteforce,

@@ -80,9 +80,6 @@ class Graph:
         """All edges as (u, v) pairs with u < v, sorted."""
         return [(u, v) for u in range(self.n) for v in sorted(self._adj[u]) if u < v]
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented

@@ -1,19 +1,19 @@
 """Brute-force reference computations for the two-neighbor infection process.
 
 A vertex becomes infected once at least two of its neighbors are infected,
-and infection never recedes.  Everything here enumerates vertex subsets
-directly, so it is exponential by design: these functions exist to validate
-the closed-form results on small graphs, not to be fast.
+and infection never recedes.  ``percolate`` runs the process from one start
+set in O(n + m) and returns each vertex's infection time; ``hull_closure``
+is the set of vertices with a time.  Everything else enumerates vertex
+subsets directly, so it is exponential by design: these functions exist to
+validate the closed-form results on small graphs, not to be fast.
 
-Every public function is a short reduction over a few private pieces, on
+Every subset oracle is a short reduction over a few private pieces, on
 vertex sets held as bitmasks (bit v stands for vertex v):
 
-- ``_spread`` runs the process from a start set and yields the infected set
-  after each round, from round 0 until a round infects nothing.  It keeps
-  the vertices seen once and seen twice among the neighborhoods of the
-  infected vertices, adding each vertex's adjacency mask once, in the round
-  that infects it; the next round infects the vertices seen twice.  The
-  one-round interval, the closure and the round list all come from it.
+- ``_step`` runs one round from a set: it keeps the vertices seen once and
+  seen twice among the neighborhoods of the set's vertices, and adds the
+  vertices seen twice.  The one-round interval and the idempotence check
+  come from it.
 - ``_start_sets`` enumerates start sets by rising size.  A vertex of degree
   below two can never become infected by its neighbors, so it belongs to
   every set whose closure is to cover the whole graph.  Every start set
@@ -22,7 +22,9 @@ vertex sets held as bitmasks (bit v stands for vertex v):
   Folding the forced vertices in up front shrinks the search space without
   changing any answer, and the empty graph gets the empty start set.
 - ``_search`` is the one pass over ``_start_sets`` behind every parameter
-  oracle, for one parameter or for all three at once.
+  oracle, for one parameter or for all three at once.  It spreads each set
+  in its own loop, adding each vertex's adjacency mask once, in the round
+  that infects it.
 
 The percolation times are maxima over the inclusion-minimal start sets that
 cover the graph: if S is a subset of T, each round from T contains the same
@@ -38,8 +40,7 @@ cover, and goes on past the spreading only until one turns up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain, combinations, compress, count, islice
+from itertools import chain, combinations, compress, count
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .graph import Graph
@@ -78,22 +79,17 @@ def _members(mask: int) -> frozenset[int]:
     return frozenset(compress(count(), map("1".__eq__, reversed(bin(mask)))))
 
 
-def _spread(masks: list[int], start: int) -> Iterator[int]:
-    """Infected sets after rounds 0, 1, 2, ... until a round infects nothing."""
+def _step(masks: list[int], s: int) -> int:
+    """One round: s together with every vertex that has two neighbors in s."""
     once = twice = 0
-    infected = fresh = start
-    while True:
-        yield infected
-        while fresh:
-            low = fresh & -fresh
-            nbrs = masks[low.bit_length() - 1]
-            twice |= once & nbrs
-            once |= nbrs
-            fresh ^= low
-        fresh = twice & ~infected
-        if not fresh:
-            return
-        infected |= fresh
+    rest = s
+    while rest:
+        low = rest & -rest
+        nbrs = masks[low.bit_length() - 1]
+        twice |= once & nbrs
+        once |= nbrs
+        rest ^= low
+    return s | twice
 
 
 def _start_sets(masks: list[int]) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -176,43 +172,42 @@ def _search(
 
 def interval(g: Graph, s: Iterable[int]) -> frozenset[int]:
     """One infection round: s together with vertices having two infected neighbors."""
-    first_two = islice(_spread(_adjacency_masks(g), _mask_of(g, s)), 2)
-    return _members(list(first_two)[-1])
+    return _members(_step(_adjacency_masks(g), _mask_of(g, s)))
 
 
-@dataclass(frozen=True)
-class PercolationTrace:
-    """Round-by-round record of infection spreading from a start set."""
+def percolate(g: Graph, s: Iterable[int]) -> tuple[Optional[int], ...]:
+    """Round at which each vertex gets infected from s; None if it never is.
 
-    rounds: tuple[frozenset[int], ...]
-    time_of: tuple[Optional[int], ...]
-    percolated: bool
-
-    @property
-    def closure(self) -> frozenset[int]:
-        return self.rounds[-1]
-
-
-def percolate(g: Graph, s: Iterable[int]) -> PercolationTrace:
-    """Run the infection process from s until it stabilizes.
-
-    The trace lists every round as a set, so it is inherently O(n·t) for t rounds.
+    Each newly infected vertex bumps a counter on each uninfected neighbor,
+    and a vertex fires in the next round once its counter reaches two, so
+    every vertex and edge is handled a bounded number of times: O(n + m).
     """
-    rounds: list[frozenset[int]] = []
     time_of: list[Optional[int]] = [None] * g.n
-    infected = 0
-    for t, m in enumerate(_spread(_adjacency_masks(g), _mask_of(g, s))):
-        fresh = _members(m ^ infected)
+    fresh = []
+    for v in s:
+        g._check(v)
+        if time_of[v] is None:
+            time_of[v] = 0
+            fresh.append(v)
+    hits = [0] * g.n
+    t = 0
+    while fresh:
+        t += 1
+        fired = []
         for v in fresh:
-            time_of[v] = t
-        rounds.append(rounds[-1] | fresh if rounds else fresh)
-        infected = m
-    return PercolationTrace(tuple(rounds), tuple(time_of), infected == (1 << g.n) - 1)
+            for w in g._adj[v]:
+                if time_of[w] is None:
+                    hits[w] += 1
+                    if hits[w] == 2:
+                        time_of[w] = t
+                        fired.append(w)
+        fresh = fired
+    return tuple(time_of)
 
 
 def hull_closure(g: Graph, s: Iterable[int]) -> frozenset[int]:
     """Smallest superset of s that gains nothing from another infection round."""
-    return percolate(g, s).closure
+    return frozenset(v for v, t in enumerate(percolate(g, s)) if t is not None)
 
 
 def hull_number_bruteforce(g: Graph, max_n: Optional[int] = None) -> int:
@@ -282,4 +277,4 @@ def interval_idempotent_bruteforce(g: Graph, max_n: Optional[int] = None) -> boo
     """
     _require_within(g, max_n, DEFAULT_PROPERTY_CAP, "interval idempotence check")
     masks = _adjacency_masks(g)
-    return all(len(list(islice(_spread(masks, s), 3))) < 3 for s in range(1 << g.n))
+    return all(_step(masks, x) == x for x in (_step(masks, s) for s in range(1 << g.n)))

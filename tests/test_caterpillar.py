@@ -18,12 +18,14 @@ from p3conv.generators import (
     random_tree,
     realize_caterpillar,
     shuffle_labels,
+    spine_sequences,
 )
 from p3conv.graph import Graph
 from p3conv.oracle import (
     geodetic_number_bruteforce,
     hull_number_bruteforce,
     percolation_time_bruteforce,
+    vertex_percolation_time_bruteforce,
 )
 
 
@@ -323,3 +325,16 @@ def test_spine_times_match_nine_branch_reference():
             assert (p.run_ids, p.run_starts, p.run_ends, p.times) == nine_branch_spine_times(s), s
             checked += 1
     assert checked == (3 ** 9 - 1) // 2
+
+
+def test_spine_times_match_the_vertex_time_oracle():
+    checked = 0
+    for p in spine_sequences(7):
+        g = realize_caterpillar(p)
+        if g.n > 18:
+            continue
+        times = percolation_sequence(p).times
+        for i in range(len(p)):
+            assert times[i] == vertex_percolation_time_bruteforce(g, i), (p, i)
+            checked += 1
+    assert checked == 2369

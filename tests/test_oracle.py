@@ -1,10 +1,12 @@
 """Brute-force oracle behavior on known graphs plus process invariants."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from chainutil import chain_graph, interval_systems
-from p3conv.generators import connected_graphs
+from p3conv.generators import connected_graphs, random_biconnected_chain
 from p3conv.graph import Graph
 from p3conv.oracle import (
     CapExceeded,
@@ -19,10 +21,9 @@ from p3conv.oracle import (
     percolation_time_bruteforce,
     vertex_percolation_time_bruteforce,
     _adjacency_masks,
-    _mask_of,
     _search,
-    _spread,
     _start_sets,
+    _step,
 )
 
 
@@ -34,18 +35,34 @@ def complete(n):
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
+def assert_firing_equation(g, s, times):
+    """Seeds get 0, a vertex without a time has fewer than two infected
+    neighbors, and any other vertex gets 1 + its second-smallest neighbor time."""
+    for v, t in enumerate(times):
+        near = sorted(times[w] for w in g.adj(v) if times[w] is not None)
+        if v in s:
+            assert t == 0
+        elif t is None:
+            assert len(near) < 2
+        else:
+            assert t == 1 + near[1]
+
+
 def test_percolate_trace_on_path():
-    trace = percolate(path(3), {0, 2})
-    assert trace.rounds[0] == frozenset({0, 2})
-    assert trace.closure == frozenset({0, 1, 2})
-    assert trace.time_of[1] == 1
-    assert trace.percolated
+    assert percolate(path(3), {0, 2}) == (0, 1, 0)
+    assert hull_closure(path(3), {0, 2}) == frozenset({0, 1, 2})
 
 
 def test_percolate_can_stall():
-    trace = percolate(path(4), {0, 3})
-    assert trace.closure == frozenset({0, 3})
-    assert not trace.percolated
+    assert percolate(path(4), {0, 3}) == (0, None, None, 0)
+    assert hull_closure(path(4), {0, 3}) == frozenset({0, 3})
+
+
+def test_percolate_scales_to_a_long_chain():
+    g, order = random_biconnected_chain(random.Random(1), 10**4)
+    times = percolate(g, order[:2])
+    assert None not in times and max(times) == 4961
+    assert_firing_equation(g, set(order[:2]), times)
 
 
 def test_interval_is_one_round():
@@ -135,7 +152,7 @@ def test_empty_graph():
     assert percolation_time_bruteforce(empty) == 0
     assert minimum_hull_sets(empty) == [frozenset()]
     assert interval_idempotent_bruteforce(empty)
-    assert percolate(empty, ()).percolated
+    assert percolate(empty, ()) == ()
 
 
 def test_caps_raise():
@@ -183,9 +200,14 @@ def test_rounds_match_a_set_based_spread(data):
     expected = [frozenset(s)]
     while (nxt := one_round(expected[-1])) != expected[-1]:
         expected.append(nxt)
-    trace = percolate(g, s)
-    assert list(trace.rounds) == expected
-    assert trace.percolated == (expected[-1] == frozenset(range(g.n)))
+    times = percolate(g, s)
+    last = max((t for t in times if t is not None), default=0)
+    rounds = [
+        frozenset(v for v, t in enumerate(times) if t is not None and t <= r)
+        for r in range(last + 1)
+    ]
+    assert rounds == expected
+    assert (None not in times) == (expected[-1] == frozenset(range(g.n)))
     assert interval(g, s) == one_round(frozenset(s))
 
 
@@ -206,15 +228,7 @@ def test_hull_closure_is_idempotent(data):
 @given(graph_and_sets())
 def test_percolate_trace_is_consistent(data):
     g, s, _ = data
-    trace = percolate(g, s)
-    assert trace.closure == hull_closure(g, s)
-    for v, t in enumerate(trace.time_of):
-        if t is None:
-            assert v not in trace.closure
-            continue
-        assert v in trace.rounds[t]
-        if t > 0:
-            assert v not in trace.rounds[t - 1]
+    assert_firing_equation(g, s, percolate(g, s))
 
 
 @settings(max_examples=60)
@@ -258,16 +272,10 @@ def test_parameters_match_the_standalone_oracles(g):
 @given(graph_and_sets())
 def test_spread_is_monotone_in_the_start_set(data):
     # The lemma the minimal-set pruning rests on: if S is a subset of T,
-    # round i from T contains round i from S, each list padded with its
-    # last round.
+    # every vertex infected from S is infected from T, and no later.
     g, s, t = data
-    masks = _adjacency_masks(g)
-    small = list(_spread(masks, _mask_of(g, s)))
-    big = list(_spread(masks, _mask_of(g, t)))
-    rounds = max(len(small), len(big))
-    small += small[-1:] * (rounds - len(small))
-    big += big[-1:] * (rounds - len(big))
-    assert all(a & ~b == 0 for a, b in zip(small, big))
+    small, big = percolate(g, s), percolate(g, t)
+    assert all(a is None or b is not None and b <= a for a, b in zip(small, big))
     assert hull_closure(g, s) <= hull_closure(g, t)
 
 
@@ -275,7 +283,7 @@ def exhaustive_search(g):
     """Geodetic and hull numbers, percolation time, per-vertex times and minimal sets.
 
     The search as it was before the minimal-set pruning: spread every start
-    set from ``_start_sets`` to its fixpoint.  The geodetic and hull numbers
+    set from ``_start_sets`` to its fixpoint, one ``_step`` at a time.  The geodetic and hull numbers
     are the sizes of the smallest one-round cover and closure cover.
     """
     masks = _adjacency_masks(g)
@@ -283,7 +291,9 @@ def exhaustive_search(g):
     geodetic = hull = g.n
     whole, per_vertex, percolating = 0, [0] * g.n, {}
     for s, free in _start_sets(masks):
-        rounds = list(_spread(masks, s))
+        rounds = [s]
+        while (nxt := _step(masks, rounds[-1])) != rounds[-1]:
+            rounds.append(nxt)
         if rounds[-1] != full:
             continue
         percolating[s] = free

@@ -347,7 +347,7 @@ def test_single_source_rule_is_refuted():
     sources = []
     for k in range(9):
         for start in map(set, combinations(range(8), k)):
-            if not percolate(g, start).percolated:
+            if None in percolate(g, start):
                 continue
             fed = [c for c in cuts if c not in start
                    and any(w < c for w in g.adj(c) & start) and any(w > c for w in g.adj(c) & start)]
