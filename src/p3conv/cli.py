@@ -243,16 +243,17 @@ def _cmd_analyze(args) -> int:
                 file=sys.stderr,
             )
             return 1
-        payload["forbidden_patterns"] = list(find_forbidden_patterns(g))
 
     exit_code = 0
     if args.oracle:
+        # Refuse before any search, the hull cap first as
+        # p3_parameters_bruteforce does; a connected graph needs its time.
         connected = g.is_connected()
+        _require_within(g, args.max_oracle_n, DEFAULT_HULL_CAP, "geodetic number search")
         if connected:
-            # A connected graph needs its time: refuse before searching, the
-            # hull cap first as p3_parameters_bruteforce does.
-            _require_within(g, args.max_oracle_n, DEFAULT_HULL_CAP, "geodetic number search")
             _require_within(g, args.max_oracle_n, DEFAULT_TIME_CAP, "percolation time search")
+        if cls == "other":
+            payload["forbidden_patterns"] = list(find_forbidden_patterns(g))
         oracle_values = p3_parameters_bruteforce(g, args.max_oracle_n)._asdict()
         if not connected:
             del oracle_values["percolation_time"]

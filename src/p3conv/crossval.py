@@ -29,7 +29,7 @@ from .generators import (
     spine_sequences,
 )
 from .graphio import to_graph6
-from .hereditary import idempotence_corpus, interval_idempotent_by_patterns
+from .hereditary import idempotence_corpus, interval_idempotent_by_patterns, printed_graphs
 from .oracle import (
     CapExceeded,
     interval_idempotent_bruteforce,
@@ -252,10 +252,11 @@ def idempotence_suite(
     rows: list[CheckRow] = []
     skipped: list[str] = []
 
-    for g in idempotence_corpus(6 if max_n is None else max_n, seed, samples_per_size):
-        _check(rows, skipped, f"g6-{to_graph6(g)}", "interval_idempotent",
-               lambda: int(interval_idempotent_by_patterns(g)),
-               lambda: int(interval_idempotent_bruteforce(g, cap)))
+    for level in idempotence_corpus(6 if max_n is None else max_n, seed, samples_per_size):
+        for g in printed_graphs(level):
+            _check(rows, skipped, f"g6-{to_graph6(g)}", "interval_idempotent",
+                   lambda: int(interval_idempotent_by_patterns(g)),
+                   lambda: int(interval_idempotent_bruteforce(g, cap)))
 
     return _sorted_report(rows, skipped)
 

@@ -134,32 +134,56 @@ def _class_key(adj: list[int]) -> tuple[int, ...]:
     return tuple(key)
 
 
-def connected_graphs(n: int) -> Iterator[Graph]:
-    """Every connected graph on n vertices, one per isomorphism class.
+def _connected_levels(max_n: int) -> Iterator[list[list[int]]]:
+    """One member of each class of connected graphs on 1, 2, ..., max_n vertices.
 
-    Feasible up to n = 7.  Deleting a leaf of a spanning tree leaves a graph
-    connected, so every connected graph on k + 1 vertices is one on k
-    vertices plus a vertex with at least one neighbour.  The graphs are grown
-    one vertex at a time, each size deduplicated by ``_class_key`` (any
-    member of a class grows into the same classes).  Each class of the last
-    size is then canonicalized once by ``_min_mask`` and the classes are
-    yielded in increasing mask order: the first mask of each class.
+    Each size is one list of adjacency bitmasks (bit w of entry v is the
+    edge vw), in no canonical labelling.  Feasible up to max_n = 7.
+    Deleting a leaf of a spanning tree leaves a graph connected, so every
+    connected graph on k + 1 vertices is one on k vertices plus a vertex
+    with at least one neighbour.  The graphs are grown one vertex at a time,
+    each size deduplicated by ``_class_key`` (any member of a class grows
+    into the same classes).
     """
-    if n < 1:
-        return
-    if n > 7:
+    if max_n > 7:
         raise ValueError("exhaustive enumeration is only feasible up to 7 vertices")
-    level = [[0]]  # adjacency masks of one member per class
-    for k in range(1, n):
+    if max_n < 1:
+        return
+    level = [[0]]
+    yield level
+    for k in range(1, max_n):
         grown = {}
         for adj in level:
             for nbrs in range(1, 1 << k):
                 bigger = [a | (nbrs >> v & 1) << k for v, a in enumerate(adj)] + [nbrs]
                 grown[_class_key(bigger)] = bigger
-        level = grown.values()
+        level = list(grown.values())
+        yield level
+
+
+def _canonical_graphs(level: list[list[int]]) -> Iterator[Graph]:
+    """A non-empty list of graphs on n vertices, as bitmasks, canonically labelled.
+
+    Each is relabelled by ``_min_mask`` and they come in increasing order
+    of that mask, so one graph per class gives the same sequence whichever
+    member stands for it.
+    """
+    n = len(level[0])
     pairs = list(combinations(range(n), 2))
     for mask in sorted(map(_min_mask, level)):
         yield Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+def connected_graphs(n: int) -> Iterator[Graph]:
+    """Every connected graph on n vertices, one per isomorphism class.
+
+    The last level of ``_connected_levels(n)`` through ``_canonical_graphs``:
+    the first edge mask of each class, in increasing mask order.
+    """
+    if n < 1:
+        return
+    *_, level = _connected_levels(n)
+    yield from _canonical_graphs(level)
 
 
 def random_connected_graph(

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 
@@ -201,35 +201,78 @@ def is_biconnected(g: Graph) -> bool:
     return g.n >= 3 and g.is_connected() and not blocks(g).cut_vertices
 
 
-def contains_induced(g: Graph, pattern: Graph) -> bool:
-    """True when some vertex subset of g induces a graph isomorphic to pattern.
+def _adjacency_masks(g: Graph) -> list[int]:
+    """Bit w of entry v is set when v and w are adjacent."""
+    return [sum(1 << w for w in nbrs) for nbrs in g._adj]
 
-    Meant for small patterns (a handful of vertices); candidate subsets are
-    pruned by degree multiset before any bijection is tried.
+
+def _search_order(pattern: list[int]) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+    """The pattern's vertices in the order the embedding search maps them.
+
+    Breadth-first, one component at a time, each component from its vertex
+    of largest degree.  Entry i is (parent, earlier, degree): the position of
+    its BFS parent (-1 for a component's first vertex), the earlier
+    positions adjacent to it, and its degree.
     """
-    k = pattern.n
-    if k > g.n:
-        return False
-    if k == 0:
-        return True
-    pat_adj = [pattern.adj(v) for v in range(k)]
-    pat_degs = sorted(len(a) for a in pat_adj)
-    for subset in combinations(range(g.n), k):
-        members = frozenset(subset)
-        ind_deg = {v: len(g.adj(v) & members) for v in subset}
-        if sorted(ind_deg.values()) != pat_degs:
+    k = len(pattern)
+    order: list[int] = []
+    parent: list[int] = []
+    for root in sorted(range(k), key=lambda v: -pattern[v].bit_count()):
+        if root in order:
             continue
-        for perm in permutations(subset):
-            if any(ind_deg[perm[i]] != len(pat_adj[i]) for i in range(k)):
-                continue
-            ok = True
-            for i in range(k):
-                for j in range(i + 1, k):
-                    if (j in pat_adj[i]) != g.has_edge(perm[i], perm[j]):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                return True
-    return False
+        i = len(order)
+        order.append(root)
+        parent.append(-1)
+        while i < len(order):
+            for u in range(k):
+                if pattern[order[i]] >> u & 1 and u not in order:
+                    order.append(u)
+                    parent.append(i)
+            i += 1
+    return tuple(
+        (parent[i], tuple(j for j in range(i) if pattern[v] >> order[j] & 1), pattern[v].bit_count())
+        for i, v in enumerate(order)
+    )
+
+
+def _embeds(host: list[int], plan: tuple[tuple[int, tuple[int, ...], int], ...]) -> bool:
+    """Whether some vertices of host induce the pattern that plan was made from.
+
+    Backtracking over plan's order (Ullmann 1976): a vertex's image is drawn
+    from the neighbours of its BFS parent's image, or from every unused
+    vertex for a component's first vertex, and is kept when its degree is
+    large enough and its adjacency to the earlier images is exactly the
+    pattern's.  For a connected pattern on k vertices that is O(n * D^(k-1))
+    candidates, D the largest degree of host.
+    """
+    k = len(plan)
+    images = [0] * k  # vertex mapped at each position
+    bits = [0] * k  # its bit
+    everything = (1 << len(host)) - 1
+
+    def extend(i: int, placed: int) -> bool:
+        if i == k:
+            return True
+        parent, earlier, degree = plan[i]
+        required = 0
+        for j in earlier:
+            required |= bits[j]
+        candidates = (host[images[parent]] if parent >= 0 else everything) & ~placed
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            c = low.bit_length() - 1
+            nbrs = host[c]
+            if nbrs & placed == required and nbrs.bit_count() >= degree:
+                images[i] = c
+                bits[i] = low
+                if extend(i + 1, placed | low):
+                    return True
+        return False
+
+    return k <= len(host) and extend(0, 0)
+
+
+def contains_induced(g: Graph, pattern: Graph) -> bool:
+    """True when some vertex subset of g induces a graph isomorphic to pattern."""
+    return _embeds(_adjacency_masks(g), _search_order(_adjacency_masks(pattern)))

@@ -25,12 +25,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain, combinations
 from typing import Iterator
 
-from .graph import Graph, contains_induced
-from .oracle import CapExceeded, interval_idempotent_bruteforce
+from .graph import Graph, _adjacency_masks, _embeds, _search_order
+from .oracle import CapExceeded, _idempotent
 from .graphio import to_graph6
-from .generators import DEFAULT_SEED, connected_graphs, random_connected_graph
+from .generators import (
+    DEFAULT_SEED,
+    _canonical_graphs,
+    _connected_levels,
+    random_connected_graph,
+)
 
 
 @dataclass(frozen=True)
@@ -49,36 +55,61 @@ COMPLETE_BIPARTITE_2_3 = ForbiddenPattern("k23", Graph.complete_bipartite(2, 3))
 FORBIDDEN_PATTERNS = (DIAMOND, PAW, CHAIR, COMPLETE_BIPARTITE_2_3)
 
 
+_SEARCH_ORDERS = tuple(
+    (p.name, _search_order(_adjacency_masks(p.graph))) for p in FORBIDDEN_PATTERNS
+)
+
+
+def _pattern_free(adj: list[int]) -> bool:
+    """Whether no pattern is induced in the graph with these adjacency bitmasks."""
+    return not any(_embeds(adj, plan) for _, plan in _SEARCH_ORDERS)
+
+
 def find_forbidden_patterns(g: Graph) -> tuple[str, ...]:
     """Names of the breaking patterns that occur in g as induced subgraphs."""
-    return tuple(p.name for p in FORBIDDEN_PATTERNS if contains_induced(g, p.graph))
+    adj = _adjacency_masks(g)
+    return tuple(name for name, plan in _SEARCH_ORDERS if _embeds(adj, plan))
 
 
 def interval_idempotent_by_patterns(g: Graph) -> bool:
     """Predict idempotence from the absence of the four breaking patterns."""
-    return not any(contains_induced(g, p.graph) for p in FORBIDDEN_PATTERNS)
+    return _pattern_free(_adjacency_masks(g))
 
 
 def idempotence_corpus(
     max_n: int, seed: int, samples_per_size: int
-) -> Iterator[Graph]:
-    """Connected graphs to probe for idempotence, smallest first.
+) -> Iterator[list[list[int]]]:
+    """Connected graphs to probe for idempotence, as adjacency bitmasks, one list per size.
 
-    Every connected graph with up to seven vertices, one per isomorphism
-    class; then, for each size from eight to max_n, samples_per_size seeded
-    random connected graphs, each edge list probed once.
+    Up to seven vertices, one member of every isomorphism class, from one
+    growth (``_connected_levels``) and in no canonical labelling; then, for
+    each size from eight to max_n, samples_per_size seeded random connected
+    graphs, each edge list probed once.  ``printed_graphs`` gives the graphs
+    of a size as they are printed.
     """
-    for n in range(1, min(max_n, 7) + 1):
-        yield from connected_graphs(n)
+    yield from _connected_levels(min(max_n, 7))
     rng = random.Random(seed)
     for n in range(8, max_n + 1):
-        seen: set[tuple[tuple[int, int], ...]] = set()
-        for _ in range(samples_per_size):
-            g = random_connected_graph(rng, n)
-            key = tuple(g.edges())
-            if key not in seen:
-                seen.add(key)
-                yield g
+        drawn = dict.fromkeys(
+            tuple(_adjacency_masks(random_connected_graph(rng, n))) for _ in range(samples_per_size)
+        )
+        yield [list(adj) for adj in drawn]
+
+
+def printed_graphs(level: list[list[int]]) -> Iterator[Graph]:
+    """The graphs of one corpus size as they are printed.
+
+    An enumerated size (at most seven vertices) canonically labelled, in the
+    order ``connected_graphs`` yields; a sampled size as drawn.  Only graphs
+    whose labels reach the output need this: the predictor and the direct
+    check do not depend on the labelling.
+    """
+    if level and len(level[0]) <= 7:
+        return _canonical_graphs(level)
+    return (
+        Graph(len(adj), [(u, w) for u, w in combinations(range(len(adj)), 2) if adj[u] >> w & 1])
+        for adj in level
+    )
 
 
 @dataclass(frozen=True)
@@ -121,12 +152,13 @@ def crosscheck_interval_idempotence(
     forward: list[Disagreement] = []
     reverse: list[Disagreement] = []
     checked = 0
-    for g in idempotence_corpus(max_n, seed, samples_per_size):
+    for adj in chain.from_iterable(idempotence_corpus(max_n, seed, samples_per_size)):
         checked += 1
-        pattern_free = interval_idempotent_by_patterns(g)
-        direct = interval_idempotent_bruteforce(g)
+        pattern_free = _pattern_free(adj)
+        direct = _idempotent(adj)
         if pattern_free == direct:
             continue
+        (g,) = printed_graphs([adj])
         entry = Disagreement(
             to_graph6(g), g.n, tuple(g.edges()), pattern_free, direct
         )

@@ -43,7 +43,7 @@ from __future__ import annotations
 from itertools import chain, combinations, compress, count
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .graph import Graph
+from .graph import Graph, _adjacency_masks
 
 DEFAULT_HULL_CAP = 20
 DEFAULT_TIME_CAP = 18
@@ -60,10 +60,6 @@ def _require_within(g: Graph, max_n: Optional[int], default: int, what: str) -> 
         raise CapExceeded(
             f"{what} enumerates subsets of {g.n} vertices; cap is {cap}"
         )
-
-
-def _adjacency_masks(g: Graph) -> list[int]:
-    return [sum(1 << w for w in nbrs) for nbrs in g._adj]
 
 
 def _mask_of(g: Graph, vertices: Iterable[int]) -> int:
@@ -276,5 +272,8 @@ def interval_idempotent_bruteforce(g: Graph, max_n: Optional[int] = None) -> boo
     that infects anything.  Checks all 2^n subsets.
     """
     _require_within(g, max_n, DEFAULT_PROPERTY_CAP, "interval idempotence check")
-    masks = _adjacency_masks(g)
-    return all(_step(masks, x) == x for x in (_step(masks, s) for s in range(1 << g.n)))
+    return _idempotent(_adjacency_masks(g))
+
+
+def _idempotent(masks: list[int]) -> bool:
+    return all(_step(masks, x) == x for x in (_step(masks, s) for s in range(1 << len(masks))))

@@ -328,6 +328,12 @@ def test_crossval_property_p_flags_findings(capsys):
     assert "disagreeing=1" in out
 
 
+def test_crossval_property_p_over_every_graph_up_to_seven_vertices(capsys):
+    rc, out, _ = run(capsys, "crossval", "property-p", "--max-n", "7")
+    assert rc == 2
+    assert out.endswith("# summary: rows=996 agreeing=992 disagreeing=4 skipped=0\n")
+
+
 def test_crossval_object_format(capsys):
     rc, out, _ = run(capsys, "crossval", "property-p", "--max-n", "4", "--format", "object")
     assert rc == 0
@@ -477,6 +483,29 @@ def test_analyze_oracle_runs_one_search(capsys, c4_file, monkeypatch):
     rc, out, _ = run(capsys, "analyze", c4_file, "--oracle")
     assert rc == 0 and "oracle.percolation_time: 1" in out
     assert searches == [(15, True)]
+
+
+@pytest.mark.parametrize(
+    "g, err",
+    [
+        (Graph.cycle(40), "geodetic number search enumerates subsets of 40 vertices; cap is 20"),
+        # A 4-cycle beside an 18-vertex path: disconnected, over the hull cap.
+        (
+            Graph(22, [(0, 1), (1, 2), (2, 3), (3, 0)] + [(v, v + 1) for v in range(4, 21)]),
+            "geodetic number search enumerates subsets of 22 vertices; cap is 20",
+        ),
+        (Graph.cycle(19), "percolation time search enumerates subsets of 19 vertices; cap is 18"),
+    ],
+    ids=["C40", "C4+P18", "C19"],
+)
+def test_analyze_oracle_checks_the_caps_before_the_pattern_search(capsys, tmp_path, monkeypatch, g, err):
+    def forbidden(g):
+        raise AssertionError("pattern search ran on a graph over the oracle caps")
+
+    monkeypatch.setattr(p3conv.cli, "find_forbidden_patterns", forbidden)
+    f = tmp_path / "doc.txt"
+    f.write_text(serialize_document(document_for(g)))
+    assert run(capsys, "analyze", str(f), "--oracle") == (3, "", f"error: {err}\n")
 
 
 def test_analyze_oracle_checks_the_time_cap_before_searching(capsys, tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ from p3conv.crossval import (
     merge_reports,
     uig_suite,
 )
+from p3conv.graphio import to_graph6
 
 
 def test_caterpillar_suite_small():
@@ -44,6 +45,14 @@ def test_idempotence_suite_finds_the_three_gap_graphs():
     rep = idempotence_suite(max_n=6)
     found = sorted({r.instance for r in rep.disagreements})
     assert found == ["g6-D]_", "g6-EFj?", "g6-E]Q?"]
+
+
+def test_idempotence_suite_skips_in_enumeration_order(connected_graphs_up_to_7):
+    rep = idempotence_suite(max_n=7, cap=5)
+    assert rep.skipped == tuple(
+        f"g6-{to_graph6(g)}/interval_idempotent" for g in connected_graphs_up_to_7 if g.n > 5
+    )
+    assert sorted({r.instance for r in rep.disagreements}) == ["g6-D]_"]
 
 
 def test_report_shapes():

@@ -4,7 +4,9 @@ from itertools import combinations, permutations
 from p3conv.caterpillar import recognize_caterpillar
 from p3conv.generators import (
     DEFAULT_SEED,
+    _canonical_graphs,
     _class_key,
+    _connected_levels,
     _min_mask,
     connected_graphs,
     random_biconnected_chain,
@@ -115,6 +117,23 @@ def test_connected_graphs_match_the_orbit_marking_enumeration():
     for n in range(1, 7):
         got = [g.edges() for g in connected_graphs(n)]
         assert got == [g.edges() for g in reference_connected_graphs(n)], n
+
+
+def test_canonical_graphs_do_not_depend_on_the_members_given():
+    rng = random.Random(4)
+    for n, level in enumerate(_connected_levels(7), start=1):
+        assert len(level) == [1, 1, 2, 6, 21, 112, 853][n - 1]
+        relabelled = []
+        for adj in level:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            moved = [0] * n
+            for v, a in enumerate(adj):
+                moved[perm[v]] = sum(1 << perm[w] for w in range(n) if a >> w & 1)
+            relabelled.append(moved)
+        rng.shuffle(relabelled)
+        got = [g.edges() for g in _canonical_graphs(relabelled)]
+        assert got == [g.edges() for g in _canonical_graphs(level)], n
 
 
 def test_connected_graphs_are_connected_and_distinct():

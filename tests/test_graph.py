@@ -1,7 +1,18 @@
+import random
+from itertools import combinations, permutations
+
 import pytest
 from hypothesis import given, strategies as st
 
-from p3conv.graph import Graph, blocks, contains_induced, is_biconnected
+from p3conv.graph import (
+    Graph,
+    _adjacency_masks,
+    _search_order,
+    blocks,
+    contains_induced,
+    is_biconnected,
+)
+from p3conv.hereditary import FORBIDDEN_PATTERNS
 
 
 def path(n):
@@ -82,6 +93,93 @@ def test_contains_induced():
     diamond = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
     assert not contains_induced(complete(4), diamond)
     assert contains_induced(Graph(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (0, 4)]), diamond)
+
+
+def reference_contains_induced(g, pattern):
+    """contains_induced as first written: every k-subset of g whose induced
+    degree multiset matches, then every bijection of it onto the pattern."""
+    k = pattern.n
+    if k > g.n:
+        return False
+    if k == 0:
+        return True
+    pat_adj = [pattern.adj(v) for v in range(k)]
+    pat_degs = sorted(len(a) for a in pat_adj)
+    for subset in combinations(range(g.n), k):
+        members = frozenset(subset)
+        ind_deg = {v: len(g.adj(v) & members) for v in subset}
+        if sorted(ind_deg.values()) != pat_degs:
+            continue
+        for perm in permutations(subset):
+            if any(ind_deg[perm[i]] != len(pat_adj[i]) for i in range(k)):
+                continue
+            if all(
+                (j in pat_adj[i]) == g.has_edge(perm[i], perm[j])
+                for i in range(k)
+                for j in range(i + 1, k)
+            ):
+                return True
+    return False
+
+
+CONNECTED_PATTERNS = [p.graph for p in FORBIDDEN_PATTERNS] + [
+    Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3)]),  # banner
+    Graph.star(3),  # claw
+    Graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)]),  # net
+    Graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (1, 4), (2, 4), (0, 5), (2, 5)]),  # tent
+]
+
+DISCONNECTED_PATTERNS = [
+    Graph(4, [(0, 1), (2, 3)]),  # 2K2
+    Graph(4, [(0, 1), (1, 2)]),  # P3 + K1
+    Graph(3),  # 3K1
+    Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)]),  # K3 + K2
+]
+
+
+@pytest.mark.parametrize(
+    "pattern, components",
+    [(p, 1) for p in CONNECTED_PATTERNS] + list(zip(DISCONNECTED_PATTERNS, (2, 2, 3, 2))),
+)
+def test_search_order_is_breadth_first_per_component(pattern, components):
+    plan = _search_order(_adjacency_masks(pattern))
+    assert sorted(degree for _, _, degree in plan) == sorted(map(pattern.degree, range(pattern.n)))
+    assert sum(parent < 0 for parent, _, _ in plan) == components
+    for i, (parent, earlier, _) in enumerate(plan):
+        assert all(j < i for j in earlier)
+        assert parent in earlier if parent >= 0 else i == 0 or not earlier
+
+
+def test_pattern_search_on_a_long_cycle():
+    g = Graph.cycle(2000)
+    assert not contains_induced(g, CONNECTED_PATTERNS[1])  # paw
+    assert contains_induced(g, Graph.path(7))
+    assert not contains_induced(g, Graph.cycle(5))
+
+
+def test_contains_induced_matches_the_subset_search_on_connected_graphs(connected_graphs_up_to_7):
+    found = 0
+    for g in connected_graphs_up_to_7:
+        for pattern in CONNECTED_PATTERNS:
+            expected = reference_contains_induced(g, pattern)
+            assert contains_induced(g, pattern) == expected, (g.edges(), pattern.edges())
+            found += expected
+    assert found == 3405
+
+
+def test_contains_induced_matches_the_subset_search_on_disconnected_graphs():
+    rng = random.Random(11)
+    found = disconnected = 0
+    for _ in range(300):
+        n = rng.randint(4, 9)
+        density = rng.uniform(0.1, 0.7)
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < density])
+        disconnected += not g.is_connected()
+        for pattern in DISCONNECTED_PATTERNS:
+            expected = reference_contains_induced(g, pattern)
+            assert contains_induced(g, pattern) == expected, (g.edges(), pattern.edges())
+            found += expected
+    assert (found, disconnected) == (680, 137)
 
 
 @st.composite

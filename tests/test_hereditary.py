@@ -1,12 +1,16 @@
+import random
+
 import pytest
 
-from p3conv.generators import connected_graphs
+from p3conv.generators import connected_graphs, random_connected_graph
 from p3conv.graph import Graph, contains_induced
 from p3conv.hereditary import (
     FORBIDDEN_PATTERNS,
     crosscheck_interval_idempotence,
     find_forbidden_patterns,
+    idempotence_corpus,
     interval_idempotent_by_patterns,
+    printed_graphs,
 )
 from p3conv.oracle import (
     geodetic_number_bruteforce,
@@ -94,6 +98,25 @@ def test_crosscheck_at_six_vertices():
         assert find_forbidden_patterns(g) == ()
         assert not interval_idempotent_bruteforce(g)
         assert contains_induced(g, BANNER)
+
+
+@pytest.mark.parametrize("max_n, checked", [(7, 996), (8, 1146)])
+def test_crosscheck_finds_the_same_four_graphs_up_to_eight_vertices(max_n, checked):
+    rep = crosscheck_interval_idempotence(max_n=max_n)
+    assert rep.checked == checked
+    assert rep.forward_violations == ()
+    assert [d.graph6 for d in rep.reverse_findings] == ["D]_", "EFj?", "E]Q?", "FFYe?"]
+
+
+def test_printed_graphs_of_the_corpus_are_the_canonical_enumeration(connected_graphs_up_to_7):
+    levels = list(idempotence_corpus(8, seed=3, samples_per_size=5))
+    assert [len(level) for level in levels] == [1, 1, 2, 6, 21, 112, 853, 5]
+    printed = [g for level in levels[:7] for g in printed_graphs(level)]
+    assert printed == connected_graphs_up_to_7
+    # The sampled size is printed as drawn.
+    rng = random.Random(3)
+    drawn = [random_connected_graph(rng, 8).edges() for _ in range(5)]
+    assert [g.edges() for g in printed_graphs(levels[7])] == drawn
 
 
 def test_crosscheck_rejects_oversized_bound():

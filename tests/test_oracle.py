@@ -303,9 +303,10 @@ def exhaustive_search(g):
         whole = max(whole, len(rounds) - 1)
         for t in range(1, len(rounds)):
             fresh = rounds[t] ^ rounds[t - 1]
-            for v in range(g.n):
-                if fresh >> v & 1:
-                    per_vertex[v] = max(per_vertex[v], t)
+            while fresh:
+                v = (fresh & -fresh).bit_length() - 1
+                per_vertex[v] = max(per_vertex[v], t)
+                fresh &= fresh - 1
     minimal = {
         s for s, free in percolating.items() if not any(s ^ b in percolating for b in free)
     }
