@@ -5,57 +5,13 @@ formula and an oracle (or a predictor and a direct check) disagree, 3 when a
 requested computation exceeds a size cap.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
-from .caterpillar import (
-    geodetic_number,
-    hull_number,
-    percolation_time as caterpillar_percolation_time,
-    recognize_caterpillar,
-)
-from .crossval import (
-    caterpillar_suite,
-    full_suite,
-    idempotence_suite,
-    uig_suite,
-)
-from .generators import (
-    DEFAULT_SEED,
-    connected_graphs,
-    random_biconnected_chain,
-    random_caterpillar,
-    random_unit_interval_graph,
-    realize_caterpillar,
-    spine_sequences,
-)
-from .graphio import (
-    GraphDocument,
-    document_for,
-    parse_document,
-    serialize_documents,
-)
-from .hereditary import crosscheck_interval_idempotence, find_forbidden_patterns
-from .oracle import (
-    DEFAULT_HULL_CAP,
-    DEFAULT_TIME_CAP,
-    CapExceeded,
-    _require_within,
-    p3_parameters_bruteforce,
-)
-from .unit_interval import (
-    build_model,
-    cut_segments,
-    recognize_unit_interval,
-    singular_positions,
-)
-
-import random
+# Each command imports the modules it runs when it runs, so that starting
+# the tool, or a command that needs no oracle, loads nothing more.
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,11 +31,13 @@ _GENERATE_SIZES = {
     "all-connected": 5,
 }
 
+# Each crossval suite with its function in crossval, looked up when the
+# command runs.
 _CROSSVAL_SUITES = {
-    "caterpillar": caterpillar_suite,
-    "uig": uig_suite,
-    "property-p": idempotence_suite,
-    "all": full_suite,
+    "caterpillar": "caterpillar_suite",
+    "uig": "uig_suite",
+    "property-p": "idempotence_suite",
+    "all": "full_suite",
 }
 
 
@@ -105,20 +63,20 @@ def _build_parser() -> _Parser:
     g.add_argument("kind", choices=tuple(_GENERATE_SIZES))
     g.add_argument("--size", type=int, default=None, help="spine length or vertex count, by kind")
     g.add_argument("--count", type=int, default=10, help="how many graphs, for random kinds")
-    g.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    g.add_argument("--seed", type=int, default=None)
     g.set_defaults(func=_cmd_generate)
 
     c = sub.add_parser("crossval", help="validate formulas against oracles over a corpus")
     c.add_argument("suite", choices=tuple(_CROSSVAL_SUITES))
     c.add_argument("--max-n", type=int, default=None, help="bound the instance sizes")
-    c.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    c.add_argument("--seed", type=int, default=None)
     c.add_argument("--max-oracle-n", type=int, default=None, help="override the oracle size caps")
     c.add_argument("--format", choices=("text", "object"), default="text")
     c.set_defaults(func=_cmd_crossval)
 
     pc = sub.add_parser("propcheck", help="cross-check the idempotence pattern predictor")
     pc.add_argument("--max-n", type=int, default=6, help="largest vertex count to examine (at most 9)")
-    pc.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    pc.add_argument("--seed", type=int, default=None)
     pc.add_argument("--format", choices=("text", "object"), default="text")
     pc.set_defaults(func=_cmd_propcheck)
 
@@ -136,6 +94,8 @@ def _json_text(value, depth: int = 0) -> str:
     through the C encoder whole, with the newline and indent as its item
     separator.
     """
+    import json
+
     if isinstance(value, dict):
         brackets, members = "{}", value.values()
     elif isinstance(value, (list, tuple)):
@@ -179,7 +139,28 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _seed(args) -> int:
+    """--seed, or generators.DEFAULT_SEED as it is when the command runs."""
+    from .generators import DEFAULT_SEED
+
+    return DEFAULT_SEED if args.seed is None else args.seed
+
+
 def _cmd_analyze(args) -> int:
+    from .caterpillar import (
+        geodetic_number,
+        hull_number,
+        percolation_time as caterpillar_percolation_time,
+        recognize_caterpillar,
+    )
+    from .graphio import parse_document
+    from .unit_interval import (
+        build_model,
+        cut_segments,
+        recognize_unit_interval,
+        singular_positions,
+    )
+
     doc = parse_document(Path(args.path).read_text())
     g = doc.to_graph()
     payload: dict = {}
@@ -246,6 +227,14 @@ def _cmd_analyze(args) -> int:
 
     exit_code = 0
     if args.oracle:
+        from .hereditary import find_forbidden_patterns
+        from .oracle import (
+            DEFAULT_HULL_CAP,
+            DEFAULT_TIME_CAP,
+            _require_within,
+            p3_parameters_bruteforce,
+        )
+
         # Refuse before any search, the hull cap first as
         # p3_parameters_bruteforce does; a connected graph needs its time.
         connected = g.is_connected()
@@ -273,10 +262,24 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    rng = random.Random(args.seed)
+    import random
+
+    from .generators import (
+        connected_graphs,
+        random_biconnected_chain,
+        random_caterpillar,
+        random_unit_interval_graph,
+        realize_caterpillar,
+        spine_sequences,
+    )
+    from .graphio import document_for, serialize_documents
+
+    if args.count < 0:
+        raise ValueError("generate needs --count of at least 0")
+    rng = random.Random(_seed(args))
     kind = args.kind
     size = _GENERATE_SIZES[kind] if args.size is None else args.size
-    docs: list[GraphDocument] = []
+    docs = []
     if kind == "caterpillar-exhaustive":
         if size < 2:
             raise ValueError("caterpillar-exhaustive needs --size of at least 2")
@@ -307,7 +310,10 @@ def _cmd_crossval(args) -> int:
     least = {"caterpillar": 2, "uig": 3, "all": 3}.get(args.suite)
     if least is not None and args.max_n is not None and args.max_n < least:
         raise ValueError(f"crossval {args.suite} needs --max-n of at least {least}")
-    report = _CROSSVAL_SUITES[args.suite](seed=args.seed, max_n=args.max_n, cap=args.max_oracle_n)
+    from . import crossval
+
+    suite = getattr(crossval, _CROSSVAL_SUITES[args.suite])
+    report = suite(seed=_seed(args), max_n=args.max_n, cap=args.max_oracle_n)
 
     if args.format == "object":
         print(_json_text(report.to_dict()))
@@ -323,7 +329,9 @@ def _cmd_crossval(args) -> int:
 
 
 def _cmd_propcheck(args) -> int:
-    report = crosscheck_interval_idempotence(max_n=args.max_n, seed=args.seed)
+    from .hereditary import crosscheck_interval_idempotence
+
+    report = crosscheck_interval_idempotence(max_n=args.max_n, seed=_seed(args))
     if args.format == "object":
         payload = {
             "max_n": report.max_n,
@@ -348,12 +356,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        # Imported here, so that a command that never runs an oracle does
+        # not load it.
+        from .oracle import CapExceeded
+
+        if not isinstance(exc, CapExceeded):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

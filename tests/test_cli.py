@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import p3conv.cli
+import p3conv.crossval
+import p3conv.generators
 import p3conv.graph
+import p3conv.hereditary
 import p3conv.oracle
 from p3conv import unit_interval
 from p3conv.caterpillar import (
@@ -155,7 +158,6 @@ def test_analyze_uig_runs_one_segment_pass(capsys, tmp_path, monkeypatch):
         return original(m)
 
     # Count calls made directly and through unit_interval.percolation_time.
-    monkeypatch.setattr(p3conv.cli, "cut_segments", counted)
     monkeypatch.setattr(unit_interval, "cut_segments", counted)
     rc, out, _ = run(capsys, "analyze", str(f))
     assert rc == 0
@@ -220,7 +222,7 @@ def test_analyze_other_skips_pattern_search_without_oracle(capsys, c4_file, monk
     def forbidden(g):
         raise AssertionError("pattern search ran without --oracle")
 
-    monkeypatch.setattr(p3conv.cli, "find_forbidden_patterns", forbidden)
+    monkeypatch.setattr(p3conv.hereditary, "find_forbidden_patterns", forbidden)
     rc, out, err = run(capsys, "analyze", c4_file)
     assert rc == 1
     assert out == ""
@@ -307,6 +309,35 @@ def test_generate_is_deterministic(capsys):
     assert rc1 == rc2 == 0
     assert out1 == out2
     assert len(parse_documents(out1)) == 3
+
+
+@pytest.mark.parametrize("kind", ["caterpillar-random", "uig-random", "uig-2connected-random"])
+def test_generate_rejects_a_negative_count(capsys, kind):
+    assert run(capsys, "generate", kind, "--count", "-1") == (
+        1, "", "error: generate needs --count of at least 0\n"
+    )
+    assert run(capsys, "generate", kind, "--count", "0") == (0, "", "")
+
+
+def test_seed_default_is_read_when_the_command_runs(capsys, monkeypatch):
+    rc, seeded, _ = run(capsys, "generate", "uig-random", "--count", "2", "--seed", "5")
+    assert rc == 0
+    monkeypatch.setattr(p3conv.generators, "DEFAULT_SEED", 5)
+    assert run(capsys, "generate", "uig-random", "--count", "2") == (0, seeded, "")
+
+
+def test_crossval_looks_up_its_suite_when_it_runs(capsys, monkeypatch):
+    original = p3conv.crossval.caterpillar_suite
+    calls = []
+
+    def counted(**kwargs):
+        calls.append(kwargs)
+        return original(**kwargs)
+
+    monkeypatch.setattr(p3conv.crossval, "caterpillar_suite", counted)
+    rc, out, _ = run(capsys, "crossval", "caterpillar", "--max-n", "3")
+    assert rc == 0 and "disagreeing=0" in out
+    assert calls == [{"seed": p3conv.generators.DEFAULT_SEED, "max_n": 3, "cap": None}]
 
 
 def test_generate_2connected_orders_are_present(capsys):
@@ -502,7 +533,7 @@ def test_analyze_oracle_checks_the_caps_before_the_pattern_search(capsys, tmp_pa
     def forbidden(g):
         raise AssertionError("pattern search ran on a graph over the oracle caps")
 
-    monkeypatch.setattr(p3conv.cli, "find_forbidden_patterns", forbidden)
+    monkeypatch.setattr(p3conv.hereditary, "find_forbidden_patterns", forbidden)
     f = tmp_path / "doc.txt"
     f.write_text(serialize_document(document_for(g)))
     assert run(capsys, "analyze", str(f), "--oracle") == (3, "", f"error: {err}\n")
