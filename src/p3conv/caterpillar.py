@@ -10,28 +10,32 @@ the first round no matter how many further leaves it carries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, islice
 from math import inf
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .graph import Graph
 
 _VALID_VALUES = (1, 2, 3, 4)
 
 
-@dataclass(frozen=True)
-class CaterpillarStructure:
+class _CaterpillarFields(NamedTuple):
+    spine: tuple[int, ...]
+    reduced_degrees: tuple[int, ...]
+    leaves: tuple[tuple[int, ...], ...]
+
+
+class CaterpillarStructure(_CaterpillarFields):
     """A caterpillar described by a longest path and the leaves hanging off it.
 
     spine            vertices of a longest path, in path order
     reduced_degrees  degree of each spine vertex, capped at four
     leaves           for each spine position, its attached off-spine leaves
-    """
 
-    spine: tuple[int, ...]
-    reduced_degrees: tuple[int, ...]
-    leaves: tuple[tuple[int, ...], ...]
+    The fields are read-only; the derived values below are computed on
+    first use and kept in the instance dictionary.
+    """
 
     @cached_property
     def leaf_count(self) -> int:
@@ -63,65 +67,104 @@ class CaterpillarStructure:
 def recognize_caterpillar(g: Graph) -> Optional[CaterpillarStructure]:
     """Structure of g if it is a caterpillar tree, else None.
 
-    A graph with n - 1 edges is a tree exactly when it is connected, which
-    the first of the two searches for a longest path checks.  Graphs with
-    fewer than two vertices are outside the domain and raise ValueError
-    rather than returning None.
+    Works from the degrees and one pass over the edge list, and builds no
+    neighbour sets.  A vertex is inner when its degree is at least two; g is
+    a caterpillar when it has n - 1 edges, its inner vertices form a path
+    (each has at most two inner neighbours, and a walk from an end of the
+    path meets all of them), and every other vertex hangs off that path.
+    The spine is the longest path that two breadth-first searches, one from
+    vertex 0 and one from where it ends, would find.  Graphs with fewer than
+    two vertices are outside the domain and raise ValueError rather than
+    returning None.
     """
-    if g.n < 2:
+    n = g.n
+    if n < 2:
         raise ValueError("caterpillar recognition needs at least two vertices")
-    if g.edge_count != g.n - 1:
+    if g.edge_count != n - 1:
         return None
-    nbrs = g._adj
-
-    def farthest(src: int) -> tuple[int, list[int]]:
-        # Breadth-first: each vertex's parent (-1 if unreached), and the vertex
-        # a search over ascending neighbor lists finds last, which in a tree is
-        # the deepest one whose path from src is lexicographically largest.
-        parent = [-1] * g.n
-        parent[src] = src
-        frontier = [src]
-        while frontier:
-            deepest = frontier
-            frontier = []
-            for u in deepest:
-                for w in nbrs[u]:
-                    if parent[w] < 0:
-                        parent[w] = u
-                        frontier.append(w)
-        # Climb to the deepest vertices' lowest common ancestor, then walk
-        # back down taking the largest label at each level.
-        levels = [deepest]
-        while len(levels[-1]) > 1:
-            levels.append({parent[v] for v in levels[-1]})
-        (last,) = levels.pop()
-        while levels:
-            last = max(w for w in levels.pop() if parent[w] == last)
-        return last, parent
-
-    end_a, parent = farthest(0)
-    if -1 in parent:
+    if n == 2:
+        return CaterpillarStructure((0, 1), (1, 1), ((), ()))
+    edges = g._edges
+    deg = [0] * n
+    for u, w in edges:
+        deg[u] += 1
+        deg[w] += 1
+    # Each inner vertex counts its inner neighbours and keeps their XOR, so
+    # that a walk steps on from the neighbour it came from; each leaf keeps
+    # its one neighbour.  Two adjacent leaves form a component of their own.
+    links = [0] * n
+    xor = [0] * n
+    hub = [0] * n
+    for u, w in edges:
+        if deg[u] == 1:
+            if deg[w] == 1:
+                return None
+            hub[u] = w
+        elif deg[w] == 1:
+            hub[w] = u
+        else:
+            links[u] += 1
+            links[w] += 1
+            xor[u] ^= w
+            xor[w] ^= u
+    k = n - deg.count(1) - deg.count(0)
+    if k == 1:
+        # A star: every edge meets the one inner vertex.
+        path = [deg.index(n - 1)]
+    elif max(links) > 2 or 1 not in links:
         return None
-    end_b, parent = farthest(end_a)
-    path = [end_b]
-    while path[-1] != end_a:
-        path.append(parent[path[-1]])
-    spine = tuple(path)
-
-    # The spine sends sum(degrees) - 2(k - 1) edges off itself, each to its own
-    # vertex, as g is a tree.  When that reaches all n - k other vertices, each
-    # of them is a leaf: a second neighbor would also hang off the spine and
-    # close a cycle.  A spine vertex of degree at most two carries no leaf.
-    on_spine = set(spine)
-    degrees = [len(nbrs[v]) for v in spine]
-    if sum(degrees) - 2 * (len(spine) - 1) != g.n - len(spine):
+    else:
+        prev = links.index(1)
+        path = [prev]
+        v = xor[prev]
+        while links[v] == 2:
+            path.append(v)
+            prev, v = v, xor[v] ^ prev
+        path.append(v)
+        if len(path) != k:
+            return None
+    # The path sends sum(degrees) - 2(k - 1) edges off itself, each to a
+    # leaf of its own, as g has n - 1 edges and no two leaves are adjacent.
+    # When that reaches all n - k other vertices, none of them is isolated
+    # and each hangs off the path.
+    if sum(map(deg.__getitem__, path)) - 2 * (k - 1) != n - k:
         return None
+
+    # Each path position's leaves in ascending order: a counting sort puts
+    # those of position i in flat[cuts[i]:cuts[i + 1]].
+    rank = [0] * n
+    for i, v in enumerate(path):
+        rank[v] = i
+    cuts = list(accumulate((deg[v] - links[v] for v in path), initial=0))
+    fill = cuts[:-1]
+    flat = [0] * (n - k)
+    for v in range(n):
+        if deg[v] == 1:
+            i = rank[hub[v]]
+            flat[fill[i]] = v
+            fill[i] += 1
+    flat = tuple(flat)
+    groups = [flat[a:b] for a, b in zip(cuts, islice(cuts, 1, None))]
+
+    # The first search from vertex 0 ends at the largest leaf of the path
+    # end farther from 0 (or from its neighbour, when 0 is a leaf); between
+    # two ends equally far it goes the way of the larger of the two path
+    # neighbours.  The second ends at the largest leaf of the other end.
+    # The spine runs from the second to the first.
+    j = rank[0] if deg[0] > 1 else rank[hub[0]]
+    if j > k - 1 - j or (j == k - 1 - j and k > 1 and path[j - 1] > path[j + 1]):
+        path.reverse()
+        groups.reverse()
+    if k == 1:
+        end_b, end_a = groups[0][-2:]
+        groups[0] = groups[0][:-2]
+    else:
+        end_b, end_a = groups[0][-1], groups[-1][-1]
+        groups[0], groups[-1] = groups[0][:-1], groups[-1][:-1]
     return CaterpillarStructure(
-        spine=spine,
-        reduced_degrees=tuple([min(d, 4) for d in degrees]),
-        leaves=tuple(
-            [tuple(sorted(nbrs[v] - on_spine)) if d > 2 else () for v, d in zip(spine, degrees)]
-        ),
+        (end_b, *path, end_a),
+        (1, *[d if d < 4 else 4 for d in map(deg.__getitem__, path)], 1),
+        ((), *groups, ()),
     )
 
 
@@ -139,14 +182,14 @@ def is_basic_sequence(seq: Sequence[int]) -> bool:
         return False
 
 
-@dataclass(frozen=True)
-class SpineFactorization:
+class SpineFactorization(NamedTuple):
     """A degree profile split into consecutive indivisible factors."""
 
     factors: tuple[tuple[int, ...], ...]
 
     @property
     def count(self) -> int:
+        # The number of factors; it shadows tuple.count.
         return len(self.factors)
 
 
@@ -189,8 +232,7 @@ def decompose_degree_sequence(seq: Sequence[int]) -> SpineFactorization:
     return SpineFactorization(tuple(factors))
 
 
-@dataclass(frozen=True)
-class PercolationSequence:
+class PercolationSequence(NamedTuple):
     """Per-position worst-case infection times along a caterpillar spine.
 
     Positions are grouped into runs: consecutive capped-3 positions share a

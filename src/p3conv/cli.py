@@ -154,12 +154,6 @@ def _cmd_analyze(args) -> int:
         recognize_caterpillar,
     )
     from .graphio import parse_document
-    from .unit_interval import (
-        build_model,
-        cut_segments,
-        recognize_unit_interval,
-        singular_positions,
-    )
 
     doc = parse_document(Path(args.path).read_text())
     g = doc.to_graph()
@@ -171,7 +165,10 @@ def _cmd_analyze(args) -> int:
 
     struct = None
     model = None
+    # unit_interval is imported only by documents that reach it.
     if doc.order is not None:
+        from .unit_interval import build_model
+
         model = build_model(g, doc.order)
         cls = "unit-interval"
     else:
@@ -179,6 +176,8 @@ def _cmd_analyze(args) -> int:
         if struct is not None:
             cls = "caterpillar"
         else:
+            from .unit_interval import recognize_unit_interval
+
             model = recognize_unit_interval(g)
             cls = "unit-interval" if model is not None else "other"
     payload["class"] = cls
@@ -197,6 +196,8 @@ def _cmd_analyze(args) -> int:
         }
         payload.update(formula_values)
     elif cls == "unit-interval":
+        from .unit_interval import cut_segments, singular_positions
+
         payload["order"] = list(model.order)
         payload["cliques"] = [[a, b] for a, b in model.cliques]
         payload["singular_positions"] = list(singular_positions(model))

@@ -7,32 +7,56 @@ so instances can be shared freely and used as dictionary keys.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Iterator, Optional
+from itertools import combinations, islice
+from operator import eq
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 
 class Graph:
-    """Immutable undirected simple graph on vertices 0..n-1."""
+    """Immutable undirected simple graph on vertices 0..n-1.
 
-    __slots__ = ("n", "edge_count", "_adj", "_hash")
+    It keeps its edges as a sorted tuple of pairs (u, w) with u < w, and
+    builds one neighbour set per vertex only when a query first needs them.
+    """
+
+    __slots__ = ("n", "edge_count", "_edges", "_sets", "_hash")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
+        pairs = []
+        for e in edges:
+            u, v = e
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            adj[u].append(v)
-            adj[v].append(u)
+            # A tuple already in order is kept, so a sorted edge list, as a
+            # parsed document has, allocates no pair again.
+            if u > v:
+                e = (v, u)
+            elif type(e) is not tuple:
+                e = (u, v)
+            pairs.append(e)
+        pairs.sort()
+        if any(map(eq, pairs, islice(pairs, 1, None))):
+            pairs = sorted(set(pairs))  # repeated edges collapse
         self.n = n
-        self._adj: tuple[frozenset[int], ...] = tuple(map(frozenset, adj))
-        # Repeated edges collapse in the sets, so count from them.
-        self.edge_count: int = sum(map(len, self._adj)) // 2
+        self._edges: tuple[tuple[int, int], ...] = tuple(pairs)
+        self.edge_count: int = len(pairs)
+        self._sets: Optional[tuple[frozenset[int], ...]] = None
         self._hash: Optional[int] = None
+
+    @property
+    def _adj(self) -> tuple[frozenset[int], ...]:
+        """The neighbour set of every vertex, built on first use."""
+        if self._sets is None:
+            adj: list[list[int]] = [[] for _ in range(self.n)]
+            for u, w in self._edges:
+                adj[u].append(w)
+                adj[w].append(u)
+            self._sets = tuple(map(frozenset, adj))
+        return self._sets
 
     @classmethod
     def path(cls, n: int) -> "Graph":
@@ -78,16 +102,16 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, sorted."""
-        return [(u, v) for u in range(self.n) for v in sorted(self._adj[u]) if u < v]
+        return list(self._edges)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self._adj == other._adj
+        return self.n == other.n and self._edges == other._edges
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.n, self._adj))
+            self._hash = hash((self.n, self._edges))
         return self._hash
 
     def __repr__(self) -> str:
@@ -96,11 +120,12 @@ class Graph:
     def is_connected(self) -> bool:
         if self.n <= 1:
             return True
+        nbrs = self._adj
         seen = {0}
         queue = deque([0])
         while queue:
             u = queue.popleft()
-            for w in self._adj[u]:
+            for w in nbrs[u]:
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)
@@ -112,17 +137,17 @@ class Graph:
         for v in vs:
             self._check(v)
         index = {v: i for i, v in enumerate(vs)}
+        nbrs = self._adj
         edges = [
             (index[u], index[w])
             for u in vs
-            for w in self._adj[u]
+            for w in nbrs[u]
             if u < w and w in index
         ]
         return Graph(len(vs), edges)
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(NamedTuple):
     """Maximal subgraphs without their own cut vertex, plus the cut vertices."""
 
     blocks: tuple[frozenset[int], ...]
@@ -203,7 +228,11 @@ def is_biconnected(g: Graph) -> bool:
 
 def _adjacency_masks(g: Graph) -> list[int]:
     """Bit w of entry v is set when v and w are adjacent."""
-    return [sum(1 << w for w in nbrs) for nbrs in g._adj]
+    masks = [0] * g.n
+    for u, w in g._edges:
+        masks[u] |= 1 << w
+        masks[w] |= 1 << u
+    return masks
 
 
 def _search_order(pattern: list[int]) -> tuple[tuple[int, tuple[int, ...], int], ...]:

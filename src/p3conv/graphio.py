@@ -11,8 +11,7 @@ Parse errors always carry the 1-based line number they refer to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .graph import Graph
 
@@ -24,8 +23,7 @@ class ParseError(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class GraphDocument:
+class GraphDocument(NamedTuple):
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
     order: Optional[tuple[int, ...]] = None

@@ -186,12 +186,13 @@ def percolate(g: Graph, s: Iterable[int]) -> tuple[Optional[int], ...]:
             time_of[v] = 0
             fresh.append(v)
     hits = [0] * g.n
+    nbrs = g._adj
     t = 0
     while fresh:
         t += 1
         fired = []
         for v in fresh:
-            for w in g._adj[v]:
+            for w in nbrs[v]:
                 if time_of[w] is None:
                     hits[w] += 1
                     if hits[w] == 2:

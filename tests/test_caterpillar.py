@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from caterpillar_reference import two_search_caterpillar
 from p3conv.caterpillar import (
     decompose_degree_sequence,
     geodetic_number,
@@ -251,6 +252,76 @@ def test_recognizer_matches_two_search_reference():
         caterpillars += s is not None
         rejected += s is None
     assert caterpillars >= 200 and rejected >= 20
+
+
+def test_one_pass_recognizer_matches_the_two_search_reference():
+    # The same structure, longest path included, as the two breadth-first
+    # searches it replaced, on every profile up to eight positions and its
+    # heavy variant (each also under three seeded relabelings), random
+    # caterpillars and trees, and graphs with n - 1 edges that are mostly
+    # no trees at all.
+    rng = random.Random(21)
+    graphs = []
+    for rds in spine_sequences(8):
+        heavy = {i: 3 for i, d in enumerate(rds) if d == 4}
+        for g in [realize_caterpillar(rds)] + ([realize_caterpillar(rds, heavy)] if heavy else []):
+            graphs += [g] + [shuffle_labels(rng, g) for _ in range(3)]
+    graphs += [random_caterpillar(rng, rng.randint(2, 40)) for _ in range(1000)]
+    graphs += [random_tree(rng, rng.randint(2, 40)) for _ in range(1000)]
+    for _ in range(3000):
+        n = rng.randint(2, 11)
+        graphs.append(Graph(n, rng.sample(list(itertools.combinations(range(n), 2)), n - 1)))
+    graphs += [Graph(2, [(0, 1)]), Graph(2, [(1, 0)])]
+    graphs += [Graph.star(leaves) for leaves in range(2, 9)]
+    graphs += [Graph.path(n) for n in range(3, 12)]
+    caterpillars = 0
+    for g in graphs:
+        s = recognize_caterpillar(g)
+        assert s == two_search_caterpillar(g), g
+        caterpillars += s is not None
+    assert len(graphs) - caterpillars >= 2000 and caterpillars >= 10000
+    for n in (0, 1):
+        with pytest.raises(ValueError):
+            recognize_caterpillar(Graph(n))
+        with pytest.raises(ValueError):
+            two_search_caterpillar(Graph(n))
+
+
+def test_recognition_builds_no_neighbour_sets():
+    g = shuffle_labels(random.Random(4), realize_caterpillar((1, 4, 3, 2, 4, 3, 1)))
+    s = recognize_caterpillar(g)
+    assert s.factorization.count and s.percolation.worst_time
+    assert g._sets is None
+    assert g.adj(0) and g._sets is not None
+
+
+def test_derived_values_are_computed_once(monkeypatch):
+    import p3conv.caterpillar as module
+
+    calls = []
+    for name in ("decompose_degree_sequence", "percolation_sequence"):
+        original = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda seq, original=original, name=name: calls.append(name) or original(seq)
+        )
+    s = recognize_caterpillar(realize_caterpillar((1, 4, 3, 3, 2, 1)))
+    for _ in range(3):
+        geodetic_number(s), percolation_time(s), s.factorization.factors, s.percolation.times
+    assert sorted(calls) == ["decompose_degree_sequence", "percolation_sequence"]
+
+
+def test_structures_are_immutable_values():
+    a = recognize_caterpillar(realize_caterpillar((1, 3, 4, 1)))
+    b = recognize_caterpillar(realize_caterpillar((1, 3, 4, 1)))
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a.reversed().reversed() == a != a.reversed()
+    for field in ("spine", "reduced_degrees", "leaves"):
+        with pytest.raises(AttributeError):
+            setattr(a, field, ())
+    with pytest.raises(AttributeError):
+        a.factorization.factors = ()
+    with pytest.raises(AttributeError):
+        a.percolation.times = ()
 
 
 def test_recognize_rejects_disconnected_graph_with_tree_edge_count():

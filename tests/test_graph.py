@@ -44,6 +44,50 @@ def test_edges_are_deduplicated_and_validated():
         Graph(2, [(1, 1)])
 
 
+def test_edges_are_kept_sorted_in_order_and_once():
+    g = Graph(5, [(3, 0), (2, 1), (1, 0), [4, 2], (0, 3), (0, 1), (1, 0)])
+    assert g.edge_count == 4
+    assert g.edges() == [(0, 1), (0, 3), (1, 2), (2, 4)]
+    assert all(type(e) is tuple for e in g.edges())
+    g.edges().clear()
+    assert g.edge_count == len(g.edges()) == 4
+
+
+def test_neighbour_queries_under_the_edge_list():
+    g = Graph(5, [(4, 1), (1, 0), (3, 1), (2, 3)])
+    assert g._sets is None  # nothing built until a query needs it
+    assert g.adj(1) == frozenset({0, 3, 4}) and isinstance(g.adj(1), frozenset)
+    assert g.adj(3) & g.adj(4) == {1} and g.adj(0) <= g.adj(3)
+    assert g.neighbors(1) == (0, 3, 4) and g.neighbors(2) == (3,)
+    assert [g.degree(v) for v in range(5)] == [1, 3, 1, 2, 1]
+    assert g.has_edge(4, 1) and g.has_edge(1, 4) and not g.has_edge(0, 4)
+    with pytest.raises(ValueError, match=r"vertex 5 outside range 0\.\.4"):
+        g.adj(5)
+
+
+def test_equality_and_hash_ignore_edge_order_and_repeats():
+    a = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    b = Graph(4, [(3, 2), (1, 0), (2, 1), (0, 1)])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    a.adj(0)  # building the neighbour sets of one changes neither
+    assert a == b and hash(a) == hash(b)
+    assert a != Graph(5, [(0, 1), (1, 2), (2, 3)]) and a != Graph(4, [(0, 1), (1, 2)])
+
+
+def test_edge_errors_keep_their_messages():
+    with pytest.raises(ValueError, match=r"^edge \(0, 3\) outside vertex range 0\.\.2$"):
+        Graph(3, [(0, 1), (0, 3)])
+    with pytest.raises(ValueError, match=r"^edge \(-1, 0\) outside vertex range 0\.\.2$"):
+        Graph(3, [(-1, 0)])
+    with pytest.raises(ValueError, match=r"^self-loop at vertex 1$"):
+        Graph(2, [(0, 1), (1, 1)])
+    # The first bad pair in input order decides, range before self-loop.
+    with pytest.raises(ValueError, match=r"^edge \(5, 5\) outside"):
+        Graph(3, [(5, 5), (1, 1)])
+    with pytest.raises(ValueError, match="nonnegative"):
+        Graph(-1)
+
+
 def test_connectivity():
     assert path(5).is_connected()
     assert not Graph(4, [(0, 1), (2, 3)]).is_connected()

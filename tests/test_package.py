@@ -56,8 +56,8 @@ def test_unknown_name_raises_attribute_error():
 
 
 # Runs the CLI with the given arguments in a fresh interpreter, or only
-# imports it when there are none, and prints the package modules (and json)
-# that this loaded.
+# imports it when there are none, and prints the package modules (and json
+# and dataclasses) that this loaded.
 LOADED = """
 import contextlib, io, sys
 before = set(sys.modules)
@@ -69,7 +69,7 @@ if sys.argv[1:]:
         except SystemExit:
             pass
 new = set(sys.modules) - before
-print(" ".join(sorted(m for m in new if m == "json" or m.split(".")[0] == "p3conv")))
+print(" ".join(sorted(m for m in new if m in ("json", "dataclasses") or m.split(".")[0] == "p3conv")))
 """
 
 
@@ -82,12 +82,17 @@ def loaded(*argv, code=LOADED) -> set:
     return set(done.stdout.split())
 
 
-ANALYZE = {"p3conv", "p3conv.cli", "p3conv.graphio", "p3conv.graph", "p3conv.caterpillar", "p3conv.unit_interval"}
+# unit_interval, hereditary and crossval define dataclasses; a caterpillar
+# document reaches none of them.
+ANALYZE = {
+    "p3conv", "p3conv.cli", "p3conv.graphio", "p3conv.graph", "p3conv.caterpillar",
+    "p3conv.unit_interval", "dataclasses",
+}
 # hereditary imports the oracle, graphio and generators; generators imports
 # unit_interval.
 PROPCHECK = {
     "p3conv", "p3conv.cli", "p3conv.hereditary", "p3conv.oracle", "p3conv.graph",
-    "p3conv.graphio", "p3conv.generators", "p3conv.unit_interval",
+    "p3conv.graphio", "p3conv.generators", "p3conv.unit_interval", "dataclasses",
 }
 EVERY = PROPCHECK | {"p3conv.caterpillar", "p3conv.crossval"}
 
@@ -104,7 +109,7 @@ def test_bare_imports_load_no_command_module():
 @pytest.mark.parametrize(
     "text, extra, expected",
     [
-        ("4\n0 1\n1 2\n2 3\n", (), ANALYZE),
+        ("4\n0 1\n1 2\n2 3\n", (), ANALYZE - {"p3conv.unit_interval", "dataclasses"}),
         ("4\n0 1\n0 2\n1 2\n2 3\norder: 0 1 2 3\n", (), ANALYZE),
         ("4\n0 1\n0 2\n1 2\n2 3\norder: 0 1 2 3\n", ("--format", "object"), ANALYZE | {"json"}),
         ("4\n0 1\n1 2\n2 3\n3 0\n", ("--oracle",), EVERY - {"p3conv.crossval"}),
@@ -122,7 +127,10 @@ def test_analyze_loads_only_what_it_runs(tmp_path, text, extra, expected):
     [
         (
             ("generate", "uig-random", "--count", "1"),
-            {"p3conv", "p3conv.cli", "p3conv.generators", "p3conv.graph", "p3conv.unit_interval", "p3conv.graphio"},
+            {
+                "p3conv", "p3conv.cli", "p3conv.generators", "p3conv.graph", "p3conv.unit_interval",
+                "p3conv.graphio", "dataclasses",
+            },
         ),
         (("propcheck", "--max-n", "3"), PROPCHECK),
         (("crossval", "caterpillar", "--max-n", "3"), EVERY),
