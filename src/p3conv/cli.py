@@ -337,8 +337,8 @@ def _cmd_propcheck(args) -> int:
         payload = {
             "max_n": report.max_n,
             "checked": report.checked,
-            "forward_violations": [d.__dict__ for d in report.forward_violations],
-            "reverse_findings": [d.__dict__ for d in report.reverse_findings],
+            "forward_violations": [d._asdict() for d in report.forward_violations],
+            "reverse_findings": [d._asdict() for d in report.reverse_findings],
         }
         print(_json_text(payload))
     else:

@@ -10,8 +10,8 @@ raises CapExceeded, or gives None, is recorded as skipped rather than dropped.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from time import perf_counter
+from typing import NamedTuple
 
 from .caterpillar import (
     geodetic_number,
@@ -29,7 +29,12 @@ from .generators import (
     spine_sequences,
 )
 from .graphio import to_graph6
-from .hereditary import idempotence_corpus, interval_idempotent_by_patterns, printed_graphs
+from .hereditary import (
+    _SAMPLES_PER_SIZE,
+    idempotence_corpus,
+    interval_idempotent_by_patterns,
+    printed_graphs,
+)
 from .oracle import (
     CapExceeded,
     interval_idempotent_bruteforce,
@@ -43,8 +48,7 @@ from .unit_interval import (
 )
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(NamedTuple):
     instance: str
     parameter: str
     formula: int
@@ -56,8 +60,7 @@ class CheckRow:
         return self.formula == self.oracle
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     rows: tuple[CheckRow, ...]
     skipped: tuple[str, ...] = ()
 
@@ -240,7 +243,7 @@ def uig_suite(
 def idempotence_suite(
     max_n: int | None = None,
     seed: int = DEFAULT_SEED,
-    samples_per_size: int = 120,
+    samples_per_size: int = _SAMPLES_PER_SIZE,
     cap: int | None = None,
 ) -> ValidationReport:
     """Pattern-predicted interval idempotence against the exhaustive check.

@@ -10,8 +10,7 @@ import random
 from itertools import combinations, product
 from typing import Iterator, Optional
 
-from .graph import Graph
-from .unit_interval import _clique_edges
+from .graph import Graph, _clique_edges
 
 DEFAULT_SEED = 1729
 

@@ -226,6 +226,11 @@ def is_biconnected(g: Graph) -> bool:
     return g.n >= 3 and g.is_connected() and not blocks(g).cut_vertices
 
 
+def _clique_edges(cliques: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
+    """Position pairs (i, j), i < j, that share one of the given clique intervals."""
+    return {e for a, b in cliques for e in combinations(range(a, b + 1), 2)}
+
+
 def _adjacency_masks(g: Graph) -> list[int]:
     """Bit w of entry v is set when v and w are adjacent."""
     masks = [0] * g.n

@@ -24,9 +24,8 @@ finding.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .graph import Graph, _adjacency_masks, _embeds, _search_order
 from .oracle import CapExceeded, _idempotent
@@ -39,8 +38,7 @@ from .generators import (
 )
 
 
-@dataclass(frozen=True)
-class ForbiddenPattern:
+class ForbiddenPattern(NamedTuple):
     name: str
     graph: Graph
 
@@ -74,6 +72,11 @@ def find_forbidden_patterns(g: Graph) -> tuple[str, ...]:
 def interval_idempotent_by_patterns(g: Graph) -> bool:
     """Predict idempotence from the absence of the four breaking patterns."""
     return _pattern_free(_adjacency_masks(g))
+
+
+# Random connected graphs drawn per corpus size from eight on; both idempotence
+# checks default to it, so they walk the same corpus for the same seed.
+_SAMPLES_PER_SIZE = 150
 
 
 def idempotence_corpus(
@@ -112,8 +115,7 @@ def printed_graphs(level: list[list[int]]) -> Iterator[Graph]:
     )
 
 
-@dataclass(frozen=True)
-class Disagreement:
+class Disagreement(NamedTuple):
     graph6: str
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
@@ -121,8 +123,7 @@ class Disagreement:
     idempotent: bool
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
+class CrosscheckReport(NamedTuple):
     max_n: int
     checked: int
     forward_violations: tuple[Disagreement, ...]
@@ -134,7 +135,7 @@ class CrosscheckReport:
 
 
 def crosscheck_interval_idempotence(
-    max_n: int = 7, seed: int = DEFAULT_SEED, samples_per_size: int = 150
+    max_n: int = 7, seed: int = DEFAULT_SEED, samples_per_size: int = _SAMPLES_PER_SIZE
 ) -> CrosscheckReport:
     """Compare the pattern predictor with the exhaustive check.
 

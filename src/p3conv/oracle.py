@@ -65,8 +65,7 @@ def _require_within(g: Graph, max_n: Optional[int], default: int, what: str) -> 
 def _mask_of(g: Graph, vertices: Iterable[int]) -> int:
     mask = 0
     for v in vertices:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} outside range 0..{g.n - 1}")
+        g._check(v)
         mask |= 1 << v
     return mask
 

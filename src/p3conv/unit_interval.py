@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .graph import Graph
+from .graph import Graph, _clique_edges
 
 
 class UnitIntervalModel:
@@ -168,11 +167,6 @@ def singular_positions(model: UnitIntervalModel) -> tuple[int, ...]:
     return tuple(_singulars(model.cliques))
 
 
-def _clique_edges(cliques: Sequence[tuple[int, int]]) -> set[tuple[int, int]]:
-    """Position pairs (i, j), i < j, that share one of the given clique intervals."""
-    return {e for a, b in cliques for e in combinations(range(a, b + 1), 2)}
-
-
 def _split_cliques(model: UnitIntervalModel) -> list[tuple[int, int]]:
     """The cliques of ``split_singular_vertices(model)``, without its graph."""
     if not model.biconnected:
@@ -232,8 +226,7 @@ def percolation_time_biconnected(model: UnitIntervalModel) -> int:
     return _walk(_split_cliques(model))
 
 
-@dataclass(frozen=True)
-class CutSegment:
+class CutSegment(NamedTuple):
     """A maximal position range not crossed by any degree-2 cut vertex."""
 
     lo: int

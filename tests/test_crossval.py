@@ -1,3 +1,5 @@
+import inspect
+
 from p3conv.crossval import (
     caterpillar_suite,
     idempotence_suite,
@@ -5,6 +7,7 @@ from p3conv.crossval import (
     uig_suite,
 )
 from p3conv.graphio import to_graph6
+from p3conv.hereditary import crosscheck_interval_idempotence
 
 
 def test_caterpillar_suite_small():
@@ -45,6 +48,13 @@ def test_idempotence_suite_finds_the_three_gap_graphs():
     rep = idempotence_suite(max_n=6)
     found = sorted({r.instance for r in rep.disagreements})
     assert found == ["g6-D]_", "g6-EFj?", "g6-E]Q?"]
+
+
+def test_propcheck_and_property_p_sample_the_same_corpus():
+    def samples(f):
+        return inspect.signature(f).parameters["samples_per_size"].default
+
+    assert samples(idempotence_suite) == samples(crosscheck_interval_idempotence) == 150
 
 
 def test_idempotence_suite_skips_in_enumeration_order(connected_graphs_up_to_7):

@@ -82,19 +82,20 @@ def loaded(*argv, code=LOADED) -> set:
     return set(done.stdout.split())
 
 
-# unit_interval, hereditary and crossval define dataclasses; a caterpillar
-# document reaches none of them.
+# No command loads dataclasses: every value record is a NamedTuple.  analyze
+# loads unit_interval only for a document that reaches it, one with an order
+# line or that is no caterpillar.
 ANALYZE = {
     "p3conv", "p3conv.cli", "p3conv.graphio", "p3conv.graph", "p3conv.caterpillar",
-    "p3conv.unit_interval", "dataclasses",
+    "p3conv.unit_interval",
 }
 # hereditary imports the oracle, graphio and generators; generators imports
-# unit_interval.
+# only graph.
 PROPCHECK = {
     "p3conv", "p3conv.cli", "p3conv.hereditary", "p3conv.oracle", "p3conv.graph",
-    "p3conv.graphio", "p3conv.generators", "p3conv.unit_interval", "dataclasses",
+    "p3conv.graphio", "p3conv.generators",
 }
-EVERY = PROPCHECK | {"p3conv.caterpillar", "p3conv.crossval"}
+EVERY = PROPCHECK | {"p3conv.caterpillar", "p3conv.crossval", "p3conv.unit_interval"}
 
 
 def test_bare_imports_load_no_command_module():
@@ -109,7 +110,7 @@ def test_bare_imports_load_no_command_module():
 @pytest.mark.parametrize(
     "text, extra, expected",
     [
-        ("4\n0 1\n1 2\n2 3\n", (), ANALYZE - {"p3conv.unit_interval", "dataclasses"}),
+        ("4\n0 1\n1 2\n2 3\n", (), ANALYZE - {"p3conv.unit_interval"}),
         ("4\n0 1\n0 2\n1 2\n2 3\norder: 0 1 2 3\n", (), ANALYZE),
         ("4\n0 1\n0 2\n1 2\n2 3\norder: 0 1 2 3\n", ("--format", "object"), ANALYZE | {"json"}),
         ("4\n0 1\n1 2\n2 3\n3 0\n", ("--oracle",), EVERY - {"p3conv.crossval"}),
@@ -127,10 +128,7 @@ def test_analyze_loads_only_what_it_runs(tmp_path, text, extra, expected):
     [
         (
             ("generate", "uig-random", "--count", "1"),
-            {
-                "p3conv", "p3conv.cli", "p3conv.generators", "p3conv.graph", "p3conv.unit_interval",
-                "p3conv.graphio", "dataclasses",
-            },
+            {"p3conv", "p3conv.cli", "p3conv.generators", "p3conv.graph", "p3conv.graphio"},
         ),
         (("propcheck", "--max-n", "3"), PROPCHECK),
         (("crossval", "caterpillar", "--max-n", "3"), EVERY),
