@@ -3,15 +3,18 @@
 A unit interval graph is one whose vertices can be arranged left to right so
 that every closed neighborhood occupies a contiguous run of positions.  All
 structure here is expressed in terms of such an order: maximal cliques are
-position intervals, and the two-infected-neighbors spreading process can be
-timed by walking the clique chain instead of enumerating start sets.
+position intervals, and the two-infected-neighbors spreading process is
+timed without enumerating start sets: by one walk over the clique chain
+when the graph is 2-connected, else by two sweeps over its cut vertices.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import deque
+from functools import lru_cache
 from itertools import combinations
+from operator import ge
 from typing import NamedTuple, Optional, Sequence
 
 from .graph import Graph, _clique_edges
@@ -235,210 +238,205 @@ class CutSegment(NamedTuple):
     time: int
 
 
-def _segment_time(model: UnitIntervalModel, a: int, b: int, left: str, right: str) -> int:
-    """Worst completion time of segment a..b over all spanning start sets.
+def _runner(nbr: dict[int, int], need: dict[int, int], lo: int, hi: int) -> tuple:
+    """Memoized runs of one block whose cuts are the bits lo and hi (0: none).
 
-    The segment is a chain of 2-connected blocks joined at cut vertices, the
-    positions that no edge jumps over.  A start set is normalized to at most
-    two vertices per block: any vertex ignited by a larger set is already
-    ignited by some pair inside it, and shrinking a start set never speeds
-    anything up.  For a fixed choice of per-block seeds the spreading
-    process is determined by the firing times of the cut vertices, and those
-    times are the unique assignment where each cut fires one round after its
-    second-earliest infected neighbor, counting neighbors on both sides.
-    The search below enumerates per-block seeds and candidate cut times
-    left to right and keeps only assignments that satisfy that firing
-    equation, so every surviving schedule is realizable and the realized
-    worst case survives.
-
-    A search state at a cut is its candidate time u, whether it is seeded,
-    and its profile: the times of its left neighbors with the cut itself
-    unclamped.  Four reductions keep the answer exact:
-
-    - Two-value profiles.  The firing equation reads only the second
-      smallest time among the profile and the right neighbors, which is
-      also the second smallest among the two smallest of each side.
-    - Bounded clamps.  That second smallest time is at least 0 and at most
-      the profile's second entry, so an unseeded cut passes the check only
-      with 1 <= u <= profile[1] + 1, and a seeded one has u = 0.  No other
-      u is enumerated.
-    - Grouped states.  A state's profile decides only whether it passes the
-      check; the next block's run, the next profile and the next cut time
-      depend on (u, seeded) and the next block's choices alone.  So states
-      are grouped by (u, seeded), the right neighbors' two smallest times
-      are computed once per (seeds, next cut time), and a group contributes
-      the largest value among its passing profiles.
-    - Event-driven rounds, in ``evolve``.
-
-    Boundary kinds: ``anchor`` is a plain end of the whole vertex order,
-    ``pendant`` is a degree-1 end whose vertex belongs to every spanning
-    start set, and ``cut`` is a shared degree-2 cut vertex whose outside
-    neighbor is modeled as one extra already-infected helper (the helper is
-    free for the worst case: delaying it only delays the boundary vertex
-    itself, and that delay is charged to the neighboring segment).
-
-    When both ends are anchors and the graph has no cut vertex, the segment
-    is the whole 2-connected graph, and its time is the diameter of the
-    split graph (``percolation_time_biconnected``), with no search.
+    A run spreads from the seeds ``sigma`` and injects the cuts at rounds
+    ``t_lo`` and ``t_hi`` (None: never); a cut never fires inside the block.
+    It gives the two smallest rounds among the lo cut's neighbors, the last
+    round (None unless the whole block is infected), and the same for the
+    hi cut.  Returns the runs and the runs of the mirrored block.
     """
-    if left == right == "anchor" and model.biconnected:
-        return percolation_time_biconnected(model)
-    rs = model.right
-    m = b - a + 1
-    bounds = [0, *(p - a for p in range(a + 1, b) if rs[p - 1] == p), m - 1]
-    nblocks = len(bounds) - 1
-    forced = {p for p, kind in ((0, left), (m - 1, right)) if kind == "pendant"}
-    tmax = m + 4
-    # Vertex sets are bitmasks over the segment's positions.  Per block,
-    # nbrs maps a vertex's bit to the mask of its in-block neighbors (the
-    # positions from its leftmost neighbor to its rightmost, clipped), need
-    # to the number of them that must be infected for it to fire (one at a
-    # cut end, which has the helper), and seeds lists the seed choices: at
-    # most two vertices, each block but the first leaving its left cut to
-    # the block before, and the pendant ends always included.
-    nbrs, need, seeds = [], [], []
-    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        nbrs.append({
-            1 << p: ((2 << min(rs[a + p] - a, hi)) - (1 << max(bisect_left(rs, a + p) - a, lo)))
-            ^ (1 << p)
-            for p in range(lo, hi + 1)
-        })
-        need.append(dict.fromkeys(nbrs[i], 2))
-        pool = range(lo if i == 0 else lo + 1, hi + 1)
-        musts = [p for p in pool if p in forced]
-        rest = [1 << p for p in pool if p not in forced]
-        base = sum(1 << p for p in musts[:2])
-        if len(musts) >= 2:
-            seeds.append([base])
-        elif musts:
-            seeds.append([base, *(base | x for x in rest)])
-        else:
-            seeds.append([0, *rest, *(x | y for x, y in combinations(rest, 2))])
-    if left == "cut":
-        need[0][1] = 1
-    if right == "cut":
-        need[-1][1 << m - 1] = 1
-    memo: dict[tuple, tuple[bool, int, dict[int, int]]] = {}
+    cuts, block = lo | hi, sum(nbr)
+    lo_nbrs, hi_nbrs = nbr.get(lo, 0), nbr.get(hi, 0)
 
-    def evolve(
-        i: int, sigma: int, t_lo: Optional[int], t_hi: Optional[int]
-    ) -> tuple[bool, int, dict[int, int]]:
-        """Infection times inside block i with its ends clamped as given.
-
-        ``t_lo``/``t_hi`` inject the block's boundary cut vertices at fixed
-        rounds (None = no injection).  Vertices may still fire earlier
-        through in-block neighbors; the caller's consistency check rejects
-        clamp values that disagree with such earlier firings.  Returns
-        whether the whole block got infected, the last round that infected
-        a vertex, and the round of each infected vertex, keyed by its bit.
-
-        The rounds are event-driven.  A vertex's infected-neighbor count
-        changes only when a neighbor is infected, so a round recounts only
-        the uninfected neighbors of the vertices infected in the round
-        before.  After a round that infects nothing, every round up to the
-        next pending clamp is idle too and is skipped; with no clamp
-        pending the process is at its fixpoint and stops.  No vertex fires
-        after round ``tmax``.
-        """
-        key = (i, sigma, t_lo, t_hi)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        nbr, req = nbrs[i], need[i]
-        lo, hi = 1 << bounds[i], 1 << bounds[i + 1]
-        infected, new, times = 0, sigma, {}
-        t = last = 0
+    @lru_cache(maxsize=None)
+    def run(sigma: int, t_lo: Optional[int], t_hi: Optional[int]) -> tuple:
+        infected, new, t, last, lo2, hi2 = 0, sigma, 0, -1, [], []
+        stop = max(t_lo or 0, t_hi or 0)
         while True:
             if t_lo == t:
                 new |= lo
             if t_hi == t:
                 new |= hi
             new &= ~infected
+            if new:
+                last = t
+                lo2 += [t] * (new & lo_nbrs).bit_count()
+                hi2 += [t] * (new & hi_nbrs).bit_count()
             infected |= new
             reached = 0
             while new:
                 low = new & -new
                 new ^= low
-                times[low] = last = t
                 reached |= nbr[low]
-            if t == tmax:
-                break
-            rest = reached & ~infected
+            rest = reached & ~infected & ~cuts
             while rest:
                 low = rest & -rest
                 rest ^= low
-                if (nbr[low] & infected).bit_count() >= req[low]:
+                if (nbr[low] & infected).bit_count() >= need[low]:
                     new |= low
-            if new:
-                t += 1
-            else:
-                pending = [
-                    c for c, bit in ((t_lo, lo), (t_hi, hi))
-                    if c is not None and c > t and not infected & bit
+            if not new and t >= stop:
+                return tuple(lo2[:2]), last if infected == block else None, tuple(hi2[:2])
+            t += 1
+
+    def mirrored(sigma: int, t_lo: Optional[int], t_hi: Optional[int]) -> tuple:
+        return run(sigma, t_hi, t_lo)[::-1]
+
+    return run, mirrored
+
+
+def _blocks(his: Sequence[int], left: str, right: str) -> list[tuple]:
+    """The blocks of a segment whose position p has its last neighbor at his[p].
+
+    Each block is (seed choices, runs, mirrored runs), positions as bits.  A
+    seed choice is at most two positions other than cuts, pendant ends
+    included, that infect the whole block once its cuts are infected; a
+    ``cut`` end fires on one infected neighbor.
+    """
+    m = len(his)
+    los = [bisect_left(his, p) for p in range(m)]
+    cuts = [p for p in range(1, m - 1) if his[p - 1] == p]
+    ends = {0: left, m - 1: right}
+    pendants = sum(1 << p for p, kind in ends.items() if kind == "pendant")
+    blocks = []
+    for lo, hi in zip([0, *cuts], [*cuts, m - 1]):
+        span = range(lo, hi + 1)
+        nbr = {1 << p: ((2 << min(his[p], hi)) - (1 << max(los[p], lo))) ^ (1 << p) for p in span}
+        need = {1 << p: 1 if ends.get(p) == "cut" else 2 for p in span}
+        lo_bit, hi_bit = 1 << lo if lo else 0, 1 << hi if hi < m - 1 else 0
+        free = [bit for bit in nbr if not bit & (lo_bit | hi_bit)]
+        forced = pendants & sum(free)
+        run, mirrored = _runner(nbr, need, lo_bit, hi_bit)
+        full = [0 if bit else None for bit in (lo_bit, hi_bit)]
+        choices = (sum(c) for k in range(3) for c in combinations(free, k))
+        seeds = [s for s in choices if s & forced == forced and run(s, *full)[1] is not None]
+        blocks.append((seeds, run, mirrored))
+    return blocks
+
+
+def _fire(seeded: int, own: tuple[int, ...], other: tuple[int, ...]) -> Optional[int]:
+    """A cut's round: 0 if seeded, else one after the second smallest profile round."""
+    if seeded:
+        return 0
+    both = sorted(own + other)
+    return both[1] + 1 if len(both) >= 2 else None
+
+
+# Sweep states at a cut by (seeded, own profile length, other side's length).
+# _START is the one state before the segment's first position, never
+# infected; _GUESS lists every key the opposite sweep may hold.
+_START = {(0, 0, 0): [()]}
+_GUESS = [(1, 0, 0), *((0, a, c) for a in range(3) for c in range(3) if a + c >= 2)]
+
+
+def _sweep(blocks: Sequence[tuple], other: Optional[list[dict]] = None) -> tuple[list[dict], int]:
+    """One sweep over the blocks from left to right; see ``_segment_time``.
+
+    ``other[j]`` holds the opposite sweep's states at block j's right cut.
+    Without it the sweep guesses them, times nothing, and stops before the
+    last block, whose right end is the segment's.  Returns the states at
+    each block's left cut and the latest round of any block run with both
+    cuts at their true rounds (-1 when guessing).
+    """
+    timed = other is not None
+    if not timed:
+        other = [_GUESS] * (len(blocks) - 1)
+    states, tables, answer = _START, [], -1
+    for (seeds, run), right in zip(blocks, other):
+        tables.append(states)
+        nxt: dict[tuple[int, int, int], set[tuple[int, ...]]] = {}
+        for sigma in seeds:
+            lo_alone, _, hi_alone = run(sigma, None, None)
+            # A state at the left cut: its profile f, the length cb it assumed
+            # for the b from the right, and the f2 it gives the right cut; an
+            # opposite state there: b2, the length cf2 assumed for f2, and b.
+            lefts = [
+                (s, cb, f, run(sigma, _fire(s, f, lo_alone), None)[2])
+                for (s, _, cb), profiles in states.items()
+                for f in profiles
+            ]
+            if timed:
+                rights = [
+                    (s2, cb2, cf2, b2, run(sigma, None, _fire(s2, b2, hi_alone))[0])
+                    for (s2, cb2, cf2), profiles in right.items()
+                    for b2 in profiles
                 ]
-                if not pending:
-                    break
-                t = min(pending)
-        got = memo[key] = (len(times) == len(nbr), last, times)
-        return got
+            else:  # a guess needs only len(b), and any finite round gives it
+                b = run(sigma, None, 0)[0]
+                rights = [(s2, a, c, (), b if s2 or a + len(hi_alone) >= 2 else lo_alone)
+                          for s2, a, c in _GUESS]
+            pairs = set()
+            for s, cb, f, f2 in lefts:
+                for s2, cb2, cf2, b2, b in rights:
+                    if (s or cb == len(b)) and (s2 or cf2 == len(f2)):
+                        if timed:
+                            pairs.add((_fire(s, f, b), _fire(s2, f2, b2)))
+                        key = (1, 0, 0) if s2 else (0, len(f2), cb2)
+                        nxt.setdefault(key, set()).add(() if s2 else f2)
+            for t_lo, t_hi in pairs:
+                answer = max(answer, run(sigma, t_lo, t_hi)[1])
+        states = {
+            key: [p for p in ps if not any(q != p and all(map(ge, q, p)) for q in ps)]
+            for key, ps in nxt.items()
+        }
+    tables.append(states)
+    return tables, answer
 
-    def low2(times: dict[int, int], mask: int) -> tuple[int, ...]:
-        return tuple(sorted(t for bit, t in times.items() if bit & mask)[:2])
 
-    def cut_times(seeded: int, profile: tuple[int, ...]) -> Sequence[int]:
-        if seeded:
-            return (0,)
-        return range(1, min(tmax, profile[1] + 1) + 1 if len(profile) == 2 else tmax + 1)
+def _segment_time(model: UnitIntervalModel, a: int, b: int, left: str, right: str) -> int:
+    """Worst completion time of segment a..b over all spanning start sets.
 
-    # states[u, seeded][profile]: the largest completion time so far over
-    # schedules whose block's left cut fires at u with that profile.  The
-    # first block enters from one seeded state with no clamp (u = None),
-    # which skips the firing check at its left end.
-    states: dict[tuple[Optional[int], int], dict[tuple[int, ...], int]] = {(None, 1): {(): -1}}
-    answer = -1
-    for j in range(nblocks):
-        final = j == nblocks - 1
-        nxt: dict[tuple[Optional[int], int], dict[tuple[int, ...], int]] = {}
-        # Per transition, not per state: the right neighbors' two smallest
-        # times per (seeds, next cut time), and per (u, those times) the
-        # best value among the passing profiles of group (u, unseeded).
-        right_pairs: dict[tuple[int, Optional[int]], tuple[int, ...]] = {}
-        passing: dict[tuple[int, tuple[int, ...]], int] = {}
-        for (u, seeded), group in states.items():
-            for sigma in seeds[j]:
-                seeded2, profile2, u2s = 0, (), (None,)
-                if not final:
-                    seeded2 = sigma >> bounds[j + 1] & 1
-                    if not seeded2:
-                        profile2 = low2(evolve(j, sigma, u, None)[2], nbrs[j][1 << bounds[j + 1]])
-                    u2s = cut_times(seeded2, profile2)
-                for u2 in u2s:
-                    if seeded:
-                        val = group[()]
-                    else:
-                        pair = right_pairs.get((sigma, u2))
-                        if pair is None:
-                            pair = right_pairs[sigma, u2] = low2(
-                                evolve(j, sigma, None, u2)[2], nbrs[j][1 << bounds[j]]
-                            )
-                        val = passing.get((u, pair))
-                        if val is None:
-                            val = passing[u, pair] = max(
-                                (v for p, v in group.items()
-                                 if len(p) + len(pair) >= 2 and sorted(p + pair)[1] + 1 == u),
-                                default=-1,
-                            )
-                        if val < 0:
-                            continue
-                    full, last, _ = evolve(j, sigma, u, u2)
-                    if not full:
-                        continue
-                    if final:
-                        answer = max(answer, val, last)
-                    else:
-                        group2 = nxt.setdefault((u2, seeded2), {})
-                        group2[profile2] = max(group2.get(profile2, -1), val, last)
-        states = nxt
+    The segment is a chain of 2-connected blocks joined at inner cuts, the
+    positions that no edge jumps over; a block runs from one cut to the
+    next, both included, and the segment's ends are ordinary positions of
+    its first and last block.  A start set is normalized to at most two
+    vertices per block: any vertex ignited by a larger set is already
+    ignited by some pair inside it, and shrinking a start set never speeds
+    anything up.  So a block's seeds are at most two of its positions other
+    than its cuts, and each cut is seeded or not on its own.
+
+    Lemma.  An unseeded inner cut c fires one round after the second
+    smallest round among its neighbors, and those rounds are the ones the
+    process gives its left neighbors when run on the positions left of c
+    alone, and its right neighbors when run on those right of c alone.
+    Proof: removing c makes no round earlier, and a position left of c has
+    all its neighbors left of c or at c.  By induction on the round, every
+    position infected before c keeps its round in the left-alone run, since
+    the two neighbors that fired it were infected earlier, so not at c.
+
+    So c's round (``_fire``) follows from its forward profile, the two
+    smallest rounds of its left neighbors in the left-alone run, and its
+    backward profile, the same from the right.  In the left-alone run the
+    next cut's forward profile comes from running the block between them
+    with c injected at the round its forward profile and the block alone
+    give it.  With both cuts at their true rounds, a block's run is exact.
+
+    ``_sweep`` carries the profiles from cut to cut.  Its states at a cut
+    are keyed by (cut seeded, how many of this side's two profile entries
+    are finite, how many of the other side's are) and hold only the
+    Pareto-maximal profiles.  That is exact: which positions get infected
+    does not depend on rounds, so the counts decide every percolation check,
+    and every round is monotone in the profiles.  The backward sweep reads
+    the blocks right to left and guesses the other side's counts, which the
+    next block checks.  The forward sweep pairs its states with the backward
+    states at the next cut, so every pair is realized by a spanning start
+    set, and times each block on each pair.  Each sweep visits a block once.
+
+    Boundary kinds: ``anchor`` is a plain end of the whole vertex order,
+    ``pendant`` a degree-1 end whose vertex is in every spanning start set,
+    and ``cut`` a shared degree-2 cut vertex whose outside neighbor is one
+    extra already-infected helper (free for the worst case: delaying it only
+    delays the boundary vertex, and that delay is charged to the neighboring
+    segment).  When both ends are anchors and the graph has no cut vertex,
+    the segment is the whole 2-connected graph, timed by the diameter of its
+    split graph (``percolation_time_biconnected``).
+    """
+    if left == right == "anchor" and model.biconnected:
+        return percolation_time_biconnected(model)
+    blocks = _blocks([min(r, b) - a for r in model.right[a:b + 1]], left, right)
+    backward, _ = _sweep([(seeds, mirrored) for seeds, _, mirrored in reversed(blocks)])
+    _, answer = _sweep([(seeds, run) for seeds, run, _ in blocks], backward[::-1])
     if answer < 0:
         raise RuntimeError("no spreading schedule covers the segment")
     return answer
@@ -474,8 +472,8 @@ def cut_segments(model: UnitIntervalModel) -> tuple[CutSegment, ...]:
     infection across itself before being infected, so no edge joins the two
     sides and the worst start set works against one side at a time.  A
     2-connected graph is one ``two_anchors`` segment, timed by the split
-    diameter; every other segment is timed by the cut-time search of
-    ``_segment_time``.
+    diameter; every other segment is timed by the two sweeps of
+    ``_segment_time``, each cut's round following from one-sided profiles.
     """
     rs = model.right
     n = len(rs)

@@ -9,6 +9,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from chainutil import chain_graph, glue, interval_systems, ladder, solid
 from p3conv.generators import (
@@ -414,6 +415,87 @@ def test_exhaustive_layouts_up_to_eight_positions():
             assert percolation_time(m) == percolation_time_bruteforce(g)
 
 
+def _runs_on(g, side):
+    """percolate on the subgraph of g induced by side, from every start set inside side."""
+    index = {p: i for i, p in enumerate(side)}
+    sub = Graph(len(side), [(index[u], index[w]) for u, w in g.edges() if u in index and w in index])
+    return {
+        frozenset(start): dict(zip(side, percolate(sub, [index[p] for p in start])))
+        for k in range(len(side) + 1)
+        for start in combinations(side, k)
+    }
+
+
+def test_cut_rounds_follow_from_one_sided_runs():
+    # The lemma the segment sweeps rest on, checked with percolate alone: an
+    # unseeded cut vertex fires one round after the second smallest round
+    # among its neighbors, read from percolate run on the positions left of
+    # the cut alone and on those right of it alone (None when fewer than two
+    # of those rounds are finite).
+    checks = 0
+    for n in range(3, 9):
+        for cliques in interval_systems(n):
+            g = chain_graph(n, cliques)
+            right = build_model(g, range(n)).right
+            full = {
+                frozenset(start): percolate(g, start)
+                for k in range(n + 1)
+                for start in combinations(range(n), k)
+            }
+            for c in (p for p in range(1, n - 1) if right[p - 1] == p):
+                sides = [(side, _runs_on(g, side)) for side in (range(c), range(c + 1, n))]
+                for start, times in full.items():
+                    if c in start:
+                        continue
+                    rounds = sorted(
+                        t
+                        for side, runs in sides
+                        for w, t in runs[start.intersection(side)].items()
+                        if t is not None and g.has_edge(w, c)
+                    )
+                    assert times[c] == (rounds[1] + 1 if len(rounds) >= 2 else None)
+                    checks += 1
+    assert checks == 85572
+
+
+LAYOUTS = [(n, cliques) for n in range(3, 9) for cliques in interval_systems(n)]
+
+
+def _block_rounds(g, seeds, injected):
+    """The round of each infected position of g when its ends are cut vertices.
+
+    An end is infected only at its round in ``injected`` (None: never);
+    every other position once two of its neighbors are.
+    """
+    times = {p: t for p, t in injected.items() if t is not None}
+    times.update(dict.fromkeys(seeds, 0))
+    r = 0
+    while True:
+        r += 1
+        fired = [
+            v for v in range(1, g.n - 1)
+            if v not in times and sum(times.get(w, r) < r for w in g.adj(v)) >= 2
+        ]
+        if not fired and r > max(times.values(), default=0):
+            return times
+        times.update(dict.fromkeys(fired, r))
+
+
+@given(st.data())
+def test_delaying_a_blocks_cuts_never_makes_a_round_earlier(data):
+    # The monotonicity the sweeps' Pareto pruning rests on, with its own
+    # spreader: injecting a block's cuts later infects the same positions,
+    # none of them earlier.
+    n, cliques = data.draw(st.sampled_from(LAYOUTS))
+    g = chain_graph(n, cliques)
+    seeds = data.draw(st.sets(st.integers(1, n - 2)))
+    early = {p: data.draw(st.none() | st.integers(0, 6)) for p in (0, n - 1)}
+    late = {p: t if t is None else t + data.draw(st.integers(0, 4)) for p, t in early.items()}
+    before, after = _block_rounds(g, seeds, early), _block_rounds(g, seeds, late)
+    assert before.keys() == after.keys()
+    assert all(after[p] >= t for p, t in before.items())
+
+
 def test_cut_segments_mirror_under_reversal():
     mirror = {"guarded_left": "guarded_right", "guarded_right": "guarded_left"}
     graphs = [
@@ -432,7 +514,7 @@ def test_cut_segments_mirror_under_reversal():
 
 
 def test_biconnected_layouts_on_nine_positions_match_oracle():
-    # 2-connected graphs are timed by the split diameter, not the search
+    # 2-connected graphs are timed by the split diameter, not the sweeps
     checked = 0
     for cliques in interval_systems(9):
         g = chain_graph(9, cliques)
@@ -482,14 +564,19 @@ def test_random_generators_match_oracle():
         (0, [(0, 39, "two_anchors", 16)]),
         (1, [(0, 39, "guarded_left", 17)]),
         (2, [(0, 1, "edge", 1), (1, 39, "guarded_both", 19)]),
+        (0, [(0, 99, "two_anchors", 41)]),
+        (1, [(0, 99, "two_pendants", 40)]),
+        (2, [(0, 1, "edge", 1), (1, 99, "guarded_left", 40)]),
     ],
 )
 def test_forty_vertex_clique_chains_keep_their_segment_rows(seed, rows):
-    # Rows computed by the cut-time search over full neighbor profiles and
-    # every cut time, before it was reduced to two-value profiles, bounded
-    # cut times and grouped states; these chains have cut vertices, so the
-    # search (not the split diameter) times them.
-    g, order = random_clique_chain(random.Random(seed), 40)
+    # random_clique_chain(Random(seed), n) with n = 40 and n = 100, n being
+    # one past the last row's hi.  The 40-vertex rows were computed by the
+    # cut-time search over full neighbor profiles and every cut time, the
+    # 100-vertex rows by the search's final form (2.6-11 s a chain), both
+    # before the sweeps replaced it.  These chains have cut vertices, so the
+    # sweeps (not the split diameter) time them.
+    g, order = random_clique_chain(random.Random(seed), rows[-1][1] + 1)
     m = build_model(g, order)
     assert not is_biconnected(g)
     assert [(s.lo, s.hi, s.case_tag, s.time) for s in cut_segments(m)] == rows
