@@ -185,14 +185,12 @@ def connected_graphs(n: int) -> Iterator[Graph]:
     yield from _canonical_graphs(level)
 
 
-def random_connected_graph(
-    rng: random.Random, n: int, p: Optional[float] = None
-) -> Graph:
+def random_connected_graph(rng: random.Random, n: int) -> Graph:
     """A connected graph drawn by edge flips, resampling until connected."""
     if n < 1:
         raise ValueError("need at least one vertex")
     while True:
-        density = p if p is not None else rng.uniform(0.25, 0.6)
+        density = rng.uniform(0.25, 0.6)
         edges = [e for e in combinations(range(n), 2) if rng.random() < density]
         g = Graph(n, edges)
         if g.is_connected():
@@ -219,14 +217,15 @@ def random_unit_interval_graph(
         raise ValueError("need at least one vertex")
     while True:
         points = sorted(rng.uniform(0, n / 2.5) for _ in range(n))
+        # Connected exactly when consecutive points are adjacent.
+        if any(b - a > 1.0 for a, b in zip(points, points[1:])):
+            continue
         edges = [
             (i, j)
             for i in range(n)
             for j in range(i + 1, n)
             if points[j] - points[i] <= 1.0
         ]
-        if n > 1 and not Graph(n, edges).is_connected():
-            continue
         perm = list(range(n))
         rng.shuffle(perm)
         mapped = [(perm[i], perm[j]) for i, j in edges]

@@ -238,12 +238,13 @@ class CutSegment(NamedTuple):
     time: int
 
 
-def _runner(nbr: dict[int, int], need: dict[int, int], lo: int, hi: int) -> tuple:
+def _runner(nbr: dict[int, int], lo: int, hi: int) -> tuple:
     """Memoized runs of one block whose cuts are the bits lo and hi (0: none).
 
     A run spreads from the seeds ``sigma`` and injects the cuts at rounds
-    ``t_lo`` and ``t_hi`` (None: never); a cut never fires inside the block.
-    It gives the two smallest rounds among the lo cut's neighbors, the last
+    ``t_lo`` and ``t_hi`` (None: never); a cut never fires inside the block,
+    every other position fires once two of its neighbors are infected.  It
+    gives the two smallest rounds among the lo cut's neighbors, the last
     round (None unless the whole block is infected), and the same for the
     hi cut.  Returns the runs and the runs of the mirrored block.
     """
@@ -252,30 +253,26 @@ def _runner(nbr: dict[int, int], need: dict[int, int], lo: int, hi: int) -> tupl
 
     @lru_cache(maxsize=None)
     def run(sigma: int, t_lo: Optional[int], t_hi: Optional[int]) -> tuple:
-        infected, new, t, last, lo2, hi2 = 0, sigma, 0, -1, [], []
+        infected = once = twice = 0
+        new, t, last, lo2, hi2 = sigma, 0, -1, [], []
         stop = max(t_lo or 0, t_hi or 0)
         while True:
             if t_lo == t:
                 new |= lo
             if t_hi == t:
                 new |= hi
-            new &= ~infected
             if new:
                 last = t
                 lo2 += [t] * (new & lo_nbrs).bit_count()
                 hi2 += [t] * (new & hi_nbrs).bit_count()
             infected |= new
-            reached = 0
             while new:
                 low = new & -new
+                nbrs = nbr[low]
+                twice |= once & nbrs
+                once |= nbrs
                 new ^= low
-                reached |= nbr[low]
-            rest = reached & ~infected & ~cuts
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if (nbr[low] & infected).bit_count() >= need[low]:
-                    new |= low
+            new = twice & ~infected & ~cuts
             if not new and t >= stop:
                 return tuple(lo2[:2]), last if infected == block else None, tuple(hi2[:2])
             t += 1
@@ -286,32 +283,27 @@ def _runner(nbr: dict[int, int], need: dict[int, int], lo: int, hi: int) -> tupl
     return run, mirrored
 
 
-def _blocks(his: Sequence[int], left: str, right: str) -> list[tuple]:
+def _blocks(his: Sequence[int]) -> list[tuple]:
     """The blocks of a segment whose position p has its last neighbor at his[p].
 
     Each block is (seed choices, runs, mirrored runs), positions as bits.  A
-    seed choice is at most two positions other than cuts, pendant ends
-    included, that infect the whole block once its cuts are infected; a
-    ``cut`` end fires on one infected neighbor.
+    seed choice is at most two positions other than cuts that infect the
+    whole block once its cuts are infected; a position with one neighbor can
+    only be infected as a seed, so it is in every choice.
     """
     m = len(his)
     los = [bisect_left(his, p) for p in range(m)]
     cuts = [p for p in range(1, m - 1) if his[p - 1] == p]
-    ends = {0: left, m - 1: right}
-    pendants = sum(1 << p for p, kind in ends.items() if kind == "pendant")
     blocks = []
     for lo, hi in zip([0, *cuts], [*cuts, m - 1]):
         span = range(lo, hi + 1)
         nbr = {1 << p: ((2 << min(his[p], hi)) - (1 << max(los[p], lo))) ^ (1 << p) for p in span}
-        need = {1 << p: 1 if ends.get(p) == "cut" else 2 for p in span}
         lo_bit, hi_bit = 1 << lo if lo else 0, 1 << hi if hi < m - 1 else 0
         free = [bit for bit in nbr if not bit & (lo_bit | hi_bit)]
-        forced = pendants & sum(free)
-        run, mirrored = _runner(nbr, need, lo_bit, hi_bit)
+        run, mirrored = _runner(nbr, lo_bit, hi_bit)
         full = [0 if bit else None for bit in (lo_bit, hi_bit)]
         choices = (sum(c) for k in range(3) for c in combinations(free, k))
-        seeds = [s for s in choices if s & forced == forced and run(s, *full)[1] is not None]
-        blocks.append((seeds, run, mirrored))
+        blocks.append(([s for s in choices if run(s, *full)[1] is not None], run, mirrored))
     return blocks
 
 
@@ -384,13 +376,13 @@ def _sweep(blocks: Sequence[tuple], other: Optional[list[dict]] = None) -> tuple
     return tables, answer
 
 
-def _segment_time(model: UnitIntervalModel, a: int, b: int, left: str, right: str) -> int:
-    """Worst completion time of segment a..b over all spanning start sets.
+def _segment_time(model: UnitIntervalModel, a: int, b: int) -> int:
+    """Percolation time of the unit interval graph induced on positions a..b.
 
-    The segment is a chain of 2-connected blocks joined at inner cuts, the
+    The range is a chain of 2-connected blocks joined at inner cuts, the
     positions that no edge jumps over; a block runs from one cut to the
-    next, both included, and the segment's ends are ordinary positions of
-    its first and last block.  A start set is normalized to at most two
+    next, both included, and the range's ends are ordinary positions of its
+    first and last block.  A start set is normalized to at most two
     vertices per block: any vertex ignited by a larger set is already
     ignited by some pair inside it, and shrinking a start set never speeds
     anything up.  So a block's seeds are at most two of its positions other
@@ -422,19 +414,8 @@ def _segment_time(model: UnitIntervalModel, a: int, b: int, left: str, right: st
     next block checks.  The forward sweep pairs its states with the backward
     states at the next cut, so every pair is realized by a spanning start
     set, and times each block on each pair.  Each sweep visits a block once.
-
-    Boundary kinds: ``anchor`` is a plain end of the whole vertex order,
-    ``pendant`` a degree-1 end whose vertex is in every spanning start set,
-    and ``cut`` a shared degree-2 cut vertex whose outside neighbor is one
-    extra already-infected helper (free for the worst case: delaying it only
-    delays the boundary vertex, and that delay is charged to the neighboring
-    segment).  When both ends are anchors and the graph has no cut vertex,
-    the segment is the whole 2-connected graph, timed by the diameter of its
-    split graph (``percolation_time_biconnected``).
     """
-    if left == right == "anchor" and model.biconnected:
-        return percolation_time_biconnected(model)
-    blocks = _blocks([min(r, b) - a for r in model.right[a:b + 1]], left, right)
+    blocks = _blocks([min(r, b) - a for r in model.right[a:b + 1]])
     backward, _ = _sweep([(seeds, mirrored) for seeds, _, mirrored in reversed(blocks)])
     _, answer = _sweep([(seeds, run) for seeds, run, _ in blocks], backward[::-1])
     if answer < 0:
@@ -458,11 +439,12 @@ def _classify(model: UnitIntervalModel, a: int, b: int) -> CutSegment:
         return CutSegment(a, b, "edge", 1)
     rs = model.right
     n = len(rs)
-    # An end of the order is an anchor when its vertex has a second neighbor.
+    # An end of the order is an anchor when its vertex has a second neighbor
+    # and a pendant when it has one; any other end is a cut.
     left = "cut" if a > 0 else "anchor" if rs[0] >= 2 else "pendant"
     right = "cut" if b < n - 1 else "anchor" if rs[n - 3] == n - 1 else "pendant"
     tag = _CASE_TAGS.get((left, right), "guarded_both")
-    return CutSegment(a, b, tag, _segment_time(model, a, b, left, right))
+    return CutSegment(a, b, tag, _segment_time(model, a - (a > 0), b + (b < n - 1)))
 
 
 def cut_segments(model: UnitIntervalModel) -> tuple[CutSegment, ...]:
@@ -471,9 +453,14 @@ def cut_segments(model: UnitIntervalModel) -> tuple[CutSegment, ...]:
     A degree-2 vertex whose two neighbors are non-adjacent never spreads
     infection across itself before being infected, so no edge joins the two
     sides and the worst start set works against one side at a time.  A
-    2-connected graph is one ``two_anchors`` segment, timed by the split
-    diameter; every other segment is timed by the two sweeps of
-    ``_segment_time``, each cut's round following from one-sided profiles.
+    2-connected graph is one ``two_anchors`` segment, timed by the diameter
+    of its split graph (``percolation_time_biconnected``).  Every other
+    segment is timed as a graph of its own, widened by the outside neighbor
+    of each cut end (``_segment_time``).  That neighbor has one neighbor in
+    the widened range, so it is a seed of every start set: the one infected
+    helper the other side can give the cut, and free for the worst case,
+    since delaying it only delays the cut, a delay charged to the
+    neighboring segment.
     """
     rs = model.right
     n = len(rs)
@@ -481,6 +468,8 @@ def cut_segments(model: UnitIntervalModel) -> tuple[CutSegment, ...]:
         raise ValueError("segment analysis needs at least three vertices")
     if not model.connected:
         raise ValueError("segment analysis needs a connected graph")
+    if model.biconnected:
+        return (CutSegment(0, n - 1, "two_anchors", percolation_time_biconnected(model)),)
     # p's neighbors are exactly p - 1 and p + 1, and those two are not adjacent.
     cuts = [
         p

@@ -7,6 +7,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import p3conv.caterpillar
 import p3conv.cli
 import p3conv.crossval
 import p3conv.generators
@@ -79,6 +80,24 @@ def test_analyze_caterpillar_with_oracle(capsys, p4_file):
     assert "oracle.geodetic_number: 3" in out
     assert "agreement.geodetic_number: yes" in out
     assert "agreement.percolation_time: yes" in out
+
+
+def test_analyze_exits_two_when_a_formula_disagrees_with_the_oracle(capsys, p4_file, monkeypatch):
+    original = p3conv.caterpillar.hull_number
+    monkeypatch.setattr(p3conv.caterpillar, "hull_number", lambda struct: original(struct) + 1)
+    rc, out, err = run(capsys, "analyze", p4_file, "--oracle")
+    assert (rc, err) == (2, "")
+    assert "hull_number: 4" in out and "oracle.hull_number: 3" in out
+    assert [line for line in out.splitlines() if line.startswith("agreement.")] == [
+        "agreement.geodetic_number: yes",
+        "agreement.hull_number: no",
+        "agreement.percolation_time: yes",
+    ]
+    rc, out, _ = run(capsys, "analyze", p4_file, "--oracle", "--format", "object")
+    assert rc == 2
+    assert json.loads(out)["agreement"] == {
+        "geodetic_number": True, "hull_number": False, "percolation_time": True
+    }
 
 
 def test_analyze_large_caterpillar_object_and_text(capsys, tmp_path):
@@ -309,6 +328,19 @@ def test_generate_is_deterministic(capsys):
     assert rc1 == rc2 == 0
     assert out1 == out2
     assert len(parse_documents(out1)) == 3
+
+
+def test_generate_random_caterpillars(capsys):
+    argv = ["generate", "caterpillar-random", "--size", "9", "--seed", "4", "--count", "5"]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, err) == (0, "")
+    docs = parse_documents(out)
+    assert [doc.name for doc in docs] == [f"caterpillar-random-{i}" for i in range(5)]
+    for doc in docs:
+        g = doc.to_graph()
+        assert g.n <= 9
+        assert recognize_caterpillar(g) is not None
+    assert run(capsys, *argv) == (0, out, "")
 
 
 @pytest.mark.parametrize("kind", ["caterpillar-random", "uig-random", "uig-2connected-random"])

@@ -23,6 +23,7 @@ from p3conv.generators import (
 from p3conv.graph import Graph, contains_induced, is_biconnected
 from p3conv.oracle import percolate, percolation_time_bruteforce
 from p3conv.unit_interval import (
+    _segment_time,
     build_model,
     cut_segments,
     diameter_endpoints,
@@ -404,7 +405,12 @@ def test_pincer_schedule_regression():
 
 
 def test_exhaustive_layouts_up_to_eight_positions():
+    # Each layout's time, also from the sweeps run over the whole order,
+    # which cut_segments leaves to the split diameter on a 2-connected one;
+    # and each row's time, that of the graph induced by its segment and the
+    # outside neighbor of each cut end.
     expected_counts = {3: 2, 4: 5, 5: 14, 6: 42, 7: 132, 8: 429}
+    rows = 0
     for n in range(3, 9):
         systems = interval_systems(n)
         assert len(systems) == expected_counts[n]
@@ -412,7 +418,12 @@ def test_exhaustive_layouts_up_to_eight_positions():
             g = chain_graph(n, cliques)
             m = build_model(g, tuple(range(n)))
             assert m.cliques == tuple(cliques)
-            assert percolation_time(m) == percolation_time_bruteforce(g)
+            assert percolation_time(m) == _segment_time(m, 0, n - 1) == percolation_time_bruteforce(g)
+            for s in cut_segments(m):
+                wide = g.induced_subgraph(range(s.lo - (s.lo > 0), s.hi + (s.hi < n - 1) + 1))
+                assert s.time == percolation_time_bruteforce(wide), (cliques, s)
+                rows += 1
+    assert rows == 820
 
 
 def _runs_on(g, side):
